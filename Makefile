@@ -35,16 +35,19 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Fixed-iteration run of the hot-path benchmarks, recorded as
-# BENCH_PR10.json in three sections: "disabled" (observability instrumented
-# but no tracing) — which includes the sharded-store workloads, disjoint
-# (every client in a private commit lane) and contended (shared accounts,
-# mostly cross-lane), the planned-vs-textual prover pair added with PR 9,
-# and the tabled-vs-untabled repeated-analyze pair added with PR 10 —
-# "durable" (real WAL + fsync per acknowledged commit, including
-# the stage-sampled variant added with PR 8), and "enabled" (full
-# structured tracing into a sink). Durable throughput runs time-based
-# (fsync cost varies too much across machines for a fixed iteration
-# count). Fixed-iteration sections run -count=10, the durable section
+# BENCH_PR$(N).json (N is the number of the PR being recorded; `make bench
+# N=11` in a checkout of the parent commit writes the same-day baseline
+# that bench-compare gates against) in three sections: "disabled"
+# (observability instrumented but no tracing) — the prover steps (bank
+# transfer, whole lab workflow, planned-vs-textual, tabled-vs-untabled),
+# the database churn pair, the simulator, and the in-process server
+# workloads including the sharded-store pair, disjoint (every client in a
+# private commit lane) and contended (shared accounts, mostly cross-lane) —
+# "durable" (real WAL + fsync per acknowledged commit, including the
+# stage-sampled variant), and "enabled" (full structured tracing into a
+# sink). Durable throughput runs time-based (fsync cost varies too much
+# across machines for a fixed iteration count). Fixed-iteration sections
+# run -count=10, the durable section
 # -count=5, and benchjson records the median repetition per benchmark:
 # this shared VM's scheduling/fsync noise floor is wider than the
 # bench-compare gate, and the median is the robust estimator that keeps
@@ -53,14 +56,18 @@ cover:
 # leaves a truncated artifact (the PR 8 recording died mid-pipe and left
 # an empty file; the old `> tmp && mv` chain could not survive a failed
 # producer).
+N ?= 12
+BENCH := BENCH_PR$(N).json
+BENCH_PREV := BENCH_PR$(shell expr $(N) - 1).json
+
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$' \
-		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label disabled -merge BENCH_PR10.json -o BENCH_PR10.json
+	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverLabFlow$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$' \
+		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label disabled -merge $(BENCH) -o $(BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughputDurable$$|BenchmarkServerThroughputDurableSampled$$|BenchmarkServerThroughputDisjointDurable$$|BenchmarkServerThroughputContendedDurable$$' \
-		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge BENCH_PR10.json -o BENCH_PR10.json
+		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge $(BENCH) -o $(BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkProverTransferTraced$$|BenchmarkServerThroughputTraced$$' \
-		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label enabled -merge BENCH_PR10.json -o BENCH_PR10.json
-	@cat BENCH_PR10.json
+		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label enabled -merge $(BENCH) -o $(BENCH)
+	@cat $(BENCH)
 
 # Bounded-recovery numbers, recorded as BENCH_PR6.json: cold-start time
 # over growing WAL histories, with and without an incremental checkpoint
@@ -77,13 +84,12 @@ recovery-bench:
 # single-benchmark regressions are printed but informational — identical
 # code re-recorded minutes apart swings 10%+ on individual contended
 # benchmarks on this VM, so only a systematic whole-section slowdown is
-# actionable. The baseline is BENCH_PR9.json; comparing adjacent PRs
-# recorded close in time keeps host drift (fsync latency, allocator/GC
-# throughput vary across recording days) out of the code delta. The tabled
-# benchmarks are new with PR 10, so the section geomean compares the
-# benchmarks both records share.
+# actionable. The baseline is the record numbered N-1; recording both on
+# the same day keeps host drift (fsync latency, allocator/GC throughput
+# vary across recording days) out of the code delta. A section's geomean
+# compares the benchmarks both records share.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR9.json BENCH_PR10.json
+	$(GO) run ./cmd/benchjson -compare $(BENCH_PREV) $(BENCH)
 
 # Span-tree smoke test: prove the concurrent two-workflow goal with tracing
 # on and check that the rendered tree shows the expected structure — iso

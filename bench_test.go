@@ -88,6 +88,36 @@ func BenchmarkProverTransfer(b *testing.B) {
 	}
 }
 
+// BenchmarkProverLabFlow times the proof of one whole genome-laboratory
+// mapping workflow — iso(wf_mapping(N)) for a fresh item N, the lab_flow
+// transaction of BENCHMARK.json — on an engine built as a server session
+// builds it (loop check, failure table, plan). Each iteration keeps its
+// done_* facts, as the server's replica does.
+func BenchmarkProverLabFlow(b *testing.B) {
+	rules, err := workflow.Compile(workflow.GenomeSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := parser.MustParse(rules + workflow.AgentFacts(map[string]int{
+		"technician": 2, "thermocycler": 1, "gel_rig": 1, "camera": 1, "analyst": 2,
+	}))
+	eng := engine.New(prog, engine.Options{LoopCheck: true, Table: true, Plan: true})
+	d, _ := db.FromFacts(prog.Facts)
+	goals := make([]td.Goal, b.N)
+	for i := range goals {
+		goals[i] = parser.MustParseGoal(fmt.Sprintf("iso(wf_mapping(%d))", i), prog.VarHigh)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, g := range goals {
+		res, _, err := eng.ProveDelta(g, d)
+		if err != nil || !res.Success {
+			b.Fatal(err, res)
+		}
+		d.ResetTrail()
+	}
+}
+
 // BenchmarkProverTransferTraced is BenchmarkProverTransfer with structured
 // execution tracing enabled and span trees flowing into a ring sink — the
 // cost of full observability on the engine's hot path. Compare against

@@ -184,3 +184,44 @@ func (v *vetter) isRecursiveCall(from int, l *ast.Lit) bool {
 	}
 	return v.sccID[from] == v.sccID[idx]
 }
+
+// reaching returns, per node, whether the node is marked or some chain of
+// calls from it reaches a marked node.
+func (v *vetter) reaching(marked []bool) []bool {
+	reach := append([]bool(nil), marked...)
+	for changed := true; changed; {
+		changed = false
+		for from := range v.nodes {
+			if reach[from] {
+				continue
+			}
+			for _, to := range v.edges[from] {
+				if reach[to] {
+					reach[from] = true
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	return reach
+}
+
+// ReachesRecursion calls yield once for every derived predicate of prog
+// from which some chain of calls reaches a predicate on a call-graph cycle
+// (the cyclic predicates themselves included). A goal that calls none of
+// them unfolds into strictly lower call-graph heights at every call step,
+// so no configuration can recur along one of its derivation paths — the
+// engine drops the path-cycle check for such goals.
+func ReachesRecursion(prog *ast.Program, yield func(pred string, arity int)) {
+	v := newVetter(prog)
+	cyclic := make([]bool, len(v.nodes))
+	for x := range v.inCycle {
+		cyclic[x] = true
+	}
+	for x, reaches := range v.reaching(cyclic) {
+		if reaches {
+			yield(v.nodes[x].pred, v.nodes[x].arity)
+		}
+	}
+}

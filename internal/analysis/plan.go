@@ -192,24 +192,9 @@ func (p *planner) certify() {
 		})
 	}
 	fixpoint := func(direct []bool) []bool {
-		free := make([]bool, n)
+		free := p.reaching(direct)
 		for i := range free {
-			free[i] = !direct[i]
-		}
-		for changed := true; changed; {
-			changed = false
-			for from := 0; from < n; from++ {
-				if !free[from] {
-					continue
-				}
-				for _, to := range p.edges[from] {
-					if !free[to] {
-						free[from] = false
-						changed = true
-						break
-					}
-				}
-			}
+			free[i] = !free[i]
 		}
 		return free
 	}

@@ -226,6 +226,60 @@ func NewConc(goals ...Goal) Goal {
 	return &Conc{Goals: flat}
 }
 
+// SeqResidual returns the sequence left when the first component of a
+// sequence has stepped to res and rest are the components after it —
+// NewSeq(res, rest...) for the prover's inner loop. rest must already be in
+// NewSeq's normal form (no True, no nested Seq), as every sequence built
+// by NewSeq, the parser or Rename is; it is never written, so when the
+// first component has finished the residual shares it instead of copying.
+func SeqResidual(res Goal, rest []Goal) Goal {
+	switch res := res.(type) {
+	case True:
+		switch len(rest) {
+		case 0:
+			return res
+		case 1:
+			return rest[0]
+		}
+		return &Seq{Goals: rest}
+	case *Seq:
+		goals := make([]Goal, 0, len(res.Goals)+len(rest))
+		return &Seq{Goals: append(append(goals, res.Goals...), rest...)}
+	}
+	if len(rest) == 0 {
+		return res
+	}
+	goals := make([]Goal, 0, 1+len(rest))
+	return &Seq{Goals: append(append(goals, res), rest...)}
+}
+
+// ConcResidual returns the composition left when branch i of branches has
+// stepped to res: NewConc over branches with res in place of branches[i],
+// built in one slice. branches must be in NewConc's normal form and is not
+// written.
+func ConcResidual(branches []Goal, i int, res Goal) Goal {
+	var mid []Goal
+	switch res := res.(type) {
+	case True:
+		if len(branches) == 2 {
+			return branches[1-i] // the last sibling survives alone
+		}
+	case *Conc:
+		mid = res.Goals
+	default:
+		mid = []Goal{res}
+	}
+	goals := make([]Goal, 0, len(branches)-1+len(mid))
+	goals = append(append(append(goals, branches[:i]...), mid...), branches[i+1:]...)
+	switch len(goals) {
+	case 0:
+		return True{}
+	case 1:
+		return goals[0]
+	}
+	return &Conc{Goals: goals}
+}
+
 // Walk calls f on g and then on every subgoal, pre-order. If f returns
 // false the subtree below g is skipped.
 func Walk(g Goal, f func(Goal) bool) {

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/term"
@@ -40,6 +41,52 @@ func TestNewConcFlattens(t *testing.T) {
 	}
 	if NewConc() != (True{}) {
 		t.Error("empty NewConc != True")
+	}
+}
+
+// The residual constructors are NewSeq/NewConc specialised to one stepped
+// component: over normal-form inputs they build the same tree, leave their
+// inputs unwritten, and share the tail of a sequence whose head finished.
+func TestResidualsAgreeWithConstructors(t *testing.T) {
+	a, b, c, d := lit(OpQuery, "a"), lit(OpQuery, "b"), lit(OpQuery, "c"), lit(OpQuery, "d")
+	residuals := []Goal{True{}, d, NewSeq(c, d), NewConc(c, d), &Iso{Body: NewSeq(c, d)}}
+	for _, rest := range [][]Goal{{}, {a}, {a, b}, {NewConc(a, b), c}} {
+		for _, res := range residuals {
+			kept := append([]Goal(nil), rest...)
+			got := SeqResidual(res, rest)
+			want := NewSeq(append([]Goal{res}, rest...)...)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("SeqResidual(%v, %v) = %v, NewSeq gives %v", res, rest, got, want)
+			}
+			for i := range rest {
+				if rest[i] != kept[i] {
+					t.Fatalf("SeqResidual(%v, %v) wrote its input", res, kept)
+				}
+			}
+		}
+	}
+	tail := []Goal{a, b, c}
+	if seq, ok := SeqResidual(True{}, tail[1:]).(*Seq); !ok || &seq.Goals[0] != &tail[1] {
+		t.Error("a finished head does not share the sequence's tail")
+	}
+	for _, branches := range [][]Goal{{a}, {a, b}, {a, NewSeq(b, c)}, {a, b, c}} {
+		for i := range branches {
+			for _, res := range residuals {
+				kept := append([]Goal(nil), branches...)
+				got := ConcResidual(branches, i, res)
+				replaced := append([]Goal(nil), branches...)
+				replaced[i] = res
+				want := NewConc(replaced...)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("ConcResidual(%v, %d, %v) = %v, NewConc gives %v", branches, i, res, got, want)
+				}
+				for j := range branches {
+					if branches[j] != kept[j] {
+						t.Fatalf("ConcResidual(%v, %d, %v) wrote its input", kept, i, res)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -108,3 +108,24 @@ func TestChurnAllocBound(t *testing.T) {
 		t.Errorf("insert+delete churn pair: %v allocs/op, want <= %d", n, ceiling)
 	}
 }
+
+// Inserting a new tuple into a unary relation allocates the stored row,
+// its key, and amortized map and trail growth, and nothing per tuple
+// besides: no first-argument index bucket, which nothing would ever read
+// (a bucket plus its map per done_*(W) fact, in every replica, was two
+// thirds of the lab workload's live heap).
+func TestUnaryInsertAllocBound(t *testing.T) {
+	d := New()
+	next := int64(0)
+	row := make([]term.Term, 1)
+	n := testing.AllocsPerRun(2000, func() {
+		row[0] = term.NewInt(next)
+		next++
+		d.Insert("done", row)
+		d.ResetTrail()
+	})
+	const ceiling = 3
+	if n > ceiling {
+		t.Errorf("insert of a new unary tuple: %v allocs/op, want <= %d", n, ceiling)
+	}
+}

@@ -136,7 +136,9 @@ type relation struct {
 	arity int
 	rows  map[string]trow
 	// index maps the code of the first argument to its bucket. nil when
-	// indexing is disabled or arity is 0.
+	// indexing is disabled or arity is below 2: a unary relation's bucket
+	// would never be read — a probe with the argument bound is ground and
+	// goes through rows, one with it unbound scans the relation.
 	index map[uint64]*ibucket
 	// order is the cached snapshot of rows used by Scan; nil when stale
 	// (invalidated by every mutation). sorted reports whether it is in
@@ -223,7 +225,7 @@ func (d *DB) rel(pred string, arity int, create bool) *relation {
 	if r == nil && create {
 		r = &relation{pred: pred, arity: arity, rows: make(map[string]trow)}
 		r.seedLo, r.seedHi = relSeed(pred, arity)
-		if d.useIndex && arity > 0 {
+		if d.useIndex && arity > 1 {
 			r.index = make(map[uint64]*ibucket)
 		}
 		d.rels[k] = r
@@ -669,7 +671,7 @@ func (d *DB) Clone() *DB {
 			version: r.version,
 			fpLo:    r.fpLo, fpHi: r.fpHi,
 		}
-		if d.useIndex && r.arity > 0 {
+		if d.useIndex && r.arity > 1 {
 			nr.index = make(map[uint64]*ibucket, len(r.index))
 		}
 		for key, tr := range r.rows {

@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -431,6 +432,66 @@ func TestIndexConsistencyAfterChurn(t *testing.T) {
 		if len(a) != len(b) {
 			t.Fatalf("index scan for %s found %d, unindexed %d", f, len(a), len(b))
 		}
+	}
+}
+
+// A unary relation keeps no first-argument index — a ground probe goes
+// through the row map and a non-ground one has nothing bound to index by —
+// and must scan, and report its reads, exactly as the index-free store
+// does, through churn, rollback and Clone.
+func TestUnaryRelationNeedsNoIndex(t *testing.T) {
+	type obs struct {
+		kind  ReadKind
+		pred  string
+		arity int
+		key   string
+		first uint64
+	}
+	x := term.NewVar("X", 0)
+	run := func(d *DB) (scans [][]string, reads []obs) {
+		d.Insert("edge", row("a", "b"))
+		for _, s := range []string{"a", "b", "c", "d"} {
+			d.Insert("done", row(s))
+		}
+		d.Delete("done", row("b"))
+		mark := d.Mark()
+		d.Insert("done", row("e"))
+		d.Delete("done", row("a"))
+		d.Undo(mark)
+		d.ResetTrail()
+		for _, d := range []*DB{d, d.Clone()} {
+			if r := d.rel("done", 1, false); r.index != nil {
+				t.Errorf("unary relation carries a first-argument index (%d buckets)", len(r.index))
+			}
+			if r := d.rel("edge", 2, false); d.useIndex && r.index == nil {
+				t.Error("binary relation lost its first-argument index")
+			}
+			d.SetReadHook(func(kind ReadKind, pred string, arity int, key string, first uint64) {
+				reads = append(reads, obs{kind, pred, arity, key, first})
+			})
+			scans = append(scans,
+				scanAll(d, "done", row("a")),
+				scanAll(d, "done", row("b")),
+				scanAll(d, "done", []term.Term{x}))
+			d.Insert("done", row("a"))
+			d.Delete("done", row("zzz"))
+			d.SetReadHook(nil)
+		}
+		if got := d.Counters().IndexHits; got != 0 {
+			t.Errorf("IndexHits = %d after unary scans, want 0", got)
+		}
+		return scans, reads
+	}
+	scans, reads := run(New())
+	wantScans, wantReads := run(New(WithoutIndex()))
+	if !reflect.DeepEqual(scans, wantScans) {
+		t.Errorf("scans differ from the index-free store:\n got  %q\n want %q", scans, wantScans)
+	}
+	if !reflect.DeepEqual(reads, wantReads) {
+		t.Errorf("read observations differ from the index-free store:\n got  %v\n want %v", reads, wantReads)
+	}
+	if len(scans[2]) != 3 {
+		t.Errorf("open scan of done/1 found %d tuples, want 3", len(scans[2]))
 	}
 }
 

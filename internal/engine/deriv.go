@@ -39,8 +39,26 @@ type deriv struct {
 	// hashes of the canonical serialization: the same collision trade the
 	// key already made by embedding the database's 128-bit fingerprint, and
 	// it keeps the hot path free of string construction.
-	path   map[ckey]bool
-	failed map[ckey]bool
+	//
+	// A key serializes the whole residual, so it is computed only where it
+	// can matter. path is nil — no key per step — for a goal that reaches no
+	// recursive predicate (Engine.mayRecur): each call step replaces a call
+	// by literals of strictly lower call-graph height and every other step
+	// consumes a literal, so the residuals along one path strictly decrease
+	// in the multiset ordering on heights and none can recur. pathSet is the
+	// pooled map path points to when the check is live. The failure table
+	// is consulted only while it holds an entry, and a failure's key is
+	// computed when the failure is recorded (see explore).
+	path    map[ckey]bool
+	pathSet map[ckey]bool
+	failed  map[ckey]bool
+
+	// keyCalls counts configKey calls and explores the explores of an
+	// unfinished configuration; the tests pin the former to zero for
+	// non-recursive goals with an empty failure table and bound it by the
+	// latter everywhere.
+	keyCalls int64
+	explores int64
 
 	tableHits int64
 	loopHits  int64
@@ -136,24 +154,28 @@ type deriv struct {
 	frontier func(ast.Goal)
 }
 
-// newDeriv returns a search state for d, reusing the engine's pooled
-// scratch (environment, renaming, tables, buffers) when one is free. The
-// pool is checked out atomically, so concurrent derivations (ProvePar
-// workers) simply fall back to fresh allocations.
-func newDeriv(e *Engine, d *db.DB) *deriv {
-	if dv := e.pool.Swap(nil); dv != nil {
+// newDeriv returns a search state for proving goal against d, reusing the
+// engine's pooled scratch (environment, renaming, tables, buffers) when one
+// is free. The pool is checked out atomically, so concurrent derivations
+// (ProvePar workers) simply fall back to fresh allocations.
+func newDeriv(e *Engine, d *db.DB, goal ast.Goal) *deriv {
+	dv := e.pool.Swap(nil)
+	if dv != nil {
 		e.poolHits.Add(1)
 		dv.reset(d)
-		return dv
+	} else {
+		e.poolMisses.Add(1)
+		dv = &deriv{e: e, d: d, env: term.NewEnv(), ren: term.NewRenamer(e.prog.VarHigh + 1_000_000)}
+		dv.prn = dv.ren.NewRenaming()
+		if e.opts.Table {
+			dv.failed = make(map[ckey]bool)
+		}
 	}
-	e.poolMisses.Add(1)
-	dv := &deriv{e: e, d: d, env: term.NewEnv(), ren: term.NewRenamer(e.prog.VarHigh + 1_000_000)}
-	dv.prn = dv.ren.NewRenaming()
-	if e.opts.LoopCheck {
-		dv.path = make(map[ckey]bool)
-	}
-	if e.opts.Table {
-		dv.failed = make(map[ckey]bool)
+	if e.opts.LoopCheck && e.mayRecur(goal) {
+		if dv.pathSet == nil {
+			dv.pathSet = make(map[ckey]bool)
+		}
+		dv.path = dv.pathSet
 	}
 	return dv
 }
@@ -200,8 +222,11 @@ func (dv *deriv) reset(d *db.DB) {
 	dv.frontier = nil
 	dv.env.Reset()
 	dv.prn.Reset()
-	if dv.path != nil {
-		clear(dv.path)
+	dv.keyCalls = 0
+	dv.explores = 0
+	dv.path = nil
+	if dv.pathSet != nil {
+		clear(dv.pathSet)
 	}
 	if dv.failed != nil {
 		clear(dv.failed)
@@ -218,8 +243,7 @@ func (dv *deriv) release() {
 func (dv *deriv) stats() Stats {
 	if dv.e.opts.Profile {
 		// stats is the single point every Prove-family entry point reads
-		// exactly once per search (ProveDelta and Enumerate never release
-		// their deriv, so release cannot be the flush site).
+		// exactly once per search, so it is the profile's flush site.
 		dv.profFlush()
 	}
 	return Stats{
@@ -347,11 +371,15 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 		return emit()
 	}
 
+	// At most one key per explore: at entry when the path check is live or
+	// the failure table has something to hit, otherwise only if this
+	// configuration turns out to fail (below).
+	dv.explores++
 	var key ckey
-	usingKey := dv.path != nil || dv.failed != nil
-	if usingKey {
+	keyed := dv.path != nil || len(dv.failed) > 0
+	if keyed {
 		key = dv.configKey(g)
-		if dv.failed != nil && dv.failed[key] {
+		if dv.failed[key] {
 			dv.tableHits++
 			return true
 		}
@@ -361,7 +389,6 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 				return true
 			}
 			dv.path[key] = true
-			defer delete(dv.path, key)
 		}
 	}
 
@@ -384,11 +411,20 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 	}
 	cutBefore := dv.cutoffs
 	cont := dv.step(g, func(res ast.Goal) ast.Goal { return res }, depth, wrapped)
+	if dv.path != nil {
+		delete(dv.path, key)
+	}
 	// Memoize failure only for subtrees explored exhaustively: no success
 	// below, no error, and no iterative-deepening cutoff (a deeper
-	// iteration could still succeed from this configuration).
+	// iteration could still succeed from this configuration). cont means
+	// the environment and the database are rolled back to their state at
+	// entry, so a key computed here is the key of the entry configuration.
 	if cont && !emitted && dv.failed != nil && dv.err == nil && dv.cutoffs == cutBefore {
-		dv.failed[key] = true
+		failedKey := key
+		if !keyed {
+			failedKey = dv.configKey(g)
+		}
+		dv.failed[failedKey] = true
 	}
 	return cont
 }
@@ -454,7 +490,7 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 			dv.env.Undo(envMark)
 			return true
 		}
-		dv.pushTrace(TraceEntry{Op: TraceBuiltin, Atom: dv.env.ResolveAtom(term.Atom{Pred: g.Name, Args: g.Args})})
+		dv.pushTrace(TraceEntry{Op: TraceBuiltin, Atom: dv.traceAtom(term.Atom{Pred: g.Name, Args: g.Args})})
 		cont := dv.explore(rebuild(ast.True{}), depth+1, emit)
 		dv.popTrace(cont)
 		if cont {
@@ -465,10 +501,7 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 	case *ast.Seq:
 		rest := g.Goals[1:]
 		return dv.step(g.Goals[0], func(res ast.Goal) ast.Goal {
-			goals := make([]ast.Goal, 0, len(rest)+1)
-			goals = append(goals, res)
-			goals = append(goals, rest...)
-			return rebuild(ast.NewSeq(goals...))
+			return rebuild(ast.SeqResidual(res, rest))
 		}, depth, emit)
 
 	case *ast.Conc:
@@ -483,10 +516,7 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 			// next explore starts a fresh descent and clears the taint).
 			dv.concTaint = true
 			cont := dv.step(g.Goals[i], func(res ast.Goal) ast.Goal {
-				goals := make([]ast.Goal, len(g.Goals))
-				copy(goals, g.Goals)
-				goals[i] = res
-				ng := ast.NewConc(goals...)
+				ng := ast.ConcResidual(g.Goals, i, res)
 				if ids != nil {
 					dv.noteConcRebuild(g, ids, i, res, ng)
 				}
@@ -546,7 +576,7 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 			return false
 		}
 		return dv.d.Scan(g.Atom.Pred, g.Atom.Args, dv.env, func() bool {
-			dv.pushTrace(TraceEntry{Op: TraceQuery, Atom: dv.env.ResolveAtom(g.Atom)})
+			dv.pushTrace(TraceEntry{Op: TraceQuery, Atom: dv.traceAtom(g.Atom)})
 			cont := dv.explore(rebuild(ast.True{}), depth+1, emit)
 			dv.popTrace(cont)
 			return cont
@@ -657,7 +687,7 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 				continue
 			}
 			body := ast.Rename(r.Body, rn)
-			dv.pushTrace(TraceEntry{Op: TraceCall, Atom: dv.env.ResolveAtom(g.Atom)})
+			dv.pushTrace(TraceEntry{Op: TraceCall, Atom: dv.traceAtom(g.Atom)})
 			cont := dv.explore(rebuild(body), depth+1, emit)
 			dv.popTrace(cont)
 			if !cont {
@@ -688,6 +718,16 @@ func (dv *deriv) budget() bool {
 		return false
 	}
 	return true
+}
+
+// traceAtom resolves a under the current bindings for a trace entry; with
+// tracing off it resolves (and allocates) nothing, and pushTrace drops the
+// entry.
+func (dv *deriv) traceAtom(a term.Atom) term.Atom {
+	if !dv.e.opts.Trace {
+		return term.Atom{}
+	}
+	return dv.env.ResolveAtom(a)
 }
 
 func (dv *deriv) pushTrace(t TraceEntry) {
@@ -814,6 +854,7 @@ type ckey [2]uint64
 // string — the canonicalization used to be the search's hottest allocation
 // site and now allocates nothing in steady state.
 func (dv *deriv) configKey(g ast.Goal) ckey {
+	dv.keyCalls++
 	buf := dv.keyBuf[:0]
 	if dv.keyVars == nil {
 		dv.keyVars = make(map[int64]int, 16)

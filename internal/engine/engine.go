@@ -50,6 +50,8 @@ type Options struct {
 	// LoopCheck prunes branches that revisit a configuration already on the
 	// current derivation path. Sound and answer-preserving; required for
 	// termination on programs whose recursion does not change the database.
+	// A goal that calls no predicate reaching a recursive one cannot
+	// revisit a configuration, so for it the check costs nothing.
 	LoopCheck bool
 	// Table memoizes configurations from which exhaustive search found no
 	// success, pruning re-exploration across branches. Sound; this is the
@@ -289,6 +291,10 @@ type Engine struct {
 	// the program so every call step pays a map lookup instead of a linear
 	// scan over non-matching rules.
 	idx *clauseIndex
+	// recursive holds the derived predicates from which some call chain
+	// reaches a call-graph cycle. Goals that call none of them cannot
+	// revisit a configuration, and run without the path-cycle check.
+	recursive map[enginePredArity]bool
 	// pool holds one reusable search state (environment, renaming, tables,
 	// scratch buffers), checked out atomically so repeated Prove calls on a
 	// long-lived engine — the server's steady state — do not rebuild them.
@@ -358,6 +364,14 @@ func New(prog *ast.Program, opts Options) *Engine {
 		opts.MaxDepth = DefaultMaxDepth
 	}
 	e := &Engine{prog: prog, opts: opts, idx: compileClauses(prog)}
+	if opts.LoopCheck {
+		analysis.ReachesRecursion(prog, func(pred string, arity int) {
+			if e.recursive == nil {
+				e.recursive = make(map[enginePredArity]bool)
+			}
+			e.recursive[enginePredArity{pred: pred, arity: arity}] = true
+		})
+	}
 	if opts.Plan {
 		e.planRep = analysis.Plan(prog)
 		e.plan = compilePlan(e.planRep)
@@ -408,6 +422,22 @@ func (e *Engine) Diagnostics() []analysis.Diagnostic {
 	return e.vet.Diags
 }
 
+// mayRecur reports whether g calls a predicate that reaches a recursive
+// one, i.e. whether a configuration could recur on a derivation path of g.
+func (e *Engine) mayRecur(g ast.Goal) bool {
+	if len(e.recursive) == 0 {
+		return false
+	}
+	found := false
+	ast.Walk(g, func(sub ast.Goal) bool {
+		if l, ok := sub.(*ast.Lit); ok && l.Op == ast.OpCall && e.recursive[enginePredArity{pred: l.Atom.Pred, arity: len(l.Atom.Args)}] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // Prove searches for a successful execution of goal starting from d.
 // On success, d is left in the final state of the witness execution; on
 // failure (or error) d is rolled back to its initial state.
@@ -419,7 +449,7 @@ func (e *Engine) Prove(goal ast.Goal, d *db.DB) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dv := newDeriv(e, d)
+	dv := newDeriv(e, d, goal)
 	defer dv.release()
 	res := &Result{}
 	dbMark := d.Mark()
@@ -475,7 +505,7 @@ func (e *Engine) ProveID(goal ast.Goal, d *db.DB, startDepth int) (*Result, erro
 	res := &Result{}
 	var spent int64
 	for limit := startDepth; ; limit *= 2 {
-		dv := newDeriv(e, d)
+		dv := newDeriv(e, d, goal)
 		dv.depthLimit = limit
 		dv.steps = spent // budget is shared across iterations
 		dbMark := d.Mark()
@@ -534,7 +564,7 @@ func (e *Engine) Solutions(goal ast.Goal, d *db.DB, max int) ([]Solution, *Resul
 	if err != nil {
 		return nil, nil, err
 	}
-	dv := newDeriv(e, d)
+	dv := newDeriv(e, d, goal)
 	defer dv.release()
 	var sols []Solution
 	dbMark := d.Mark()

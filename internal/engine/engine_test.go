@@ -862,3 +862,41 @@ func TestRepeatedIsoOnUnchangedDB(t *testing.T) {
 		t.Fatal("repeated no-op calls failed")
 	}
 }
+
+// ProveDelta and Enumerate — the server's EXEC and QUERY — hand their
+// search state back to the engine's pool like Prove does: after the first
+// call every search reuses it, and what the caller was given (bindings,
+// write set, statistics) does not alias it.
+func TestTransactionalEntryPointsPoolSearchState(t *testing.T) {
+	prog := parser.MustParse(bankSrc)
+	e := New(prog, defOpts())
+	d, err := db.FromFacts(prog.Facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ops, err := e.ProveDelta(parser.MustParseGoal(`balance(alice, B), transfer(30, alice, bob)`, prog.VarHigh), d)
+	if err != nil || !res.Success {
+		t.Fatalf("ProveDelta: %v %+v", err, res)
+	}
+	d.ResetTrail()
+	var seen []string
+	_, err = e.Enumerate(parser.MustParseGoal(`account(W, B)`, prog.VarHigh), d, 0, func(b map[string]term.Term) bool {
+		seen = append(seen, b["W"].String()+"="+b["B"].String())
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := e.PoolStats(); hits != 1 || misses != 1 {
+		t.Fatalf("pool hits=%d misses=%d after ProveDelta+Enumerate, want 1 and 1", hits, misses)
+	}
+	if got := res.Bindings["B"].String(); got != "100" {
+		t.Errorf("ProveDelta binding B = %s after the state was reused, want 100", got)
+	}
+	if len(ops) != 4 || res.Stats.Steps == 0 {
+		t.Errorf("ProveDelta write set has %d ops (want 4), steps=%d", len(ops), res.Stats.Steps)
+	}
+	if want := []string{"alice=70", "bob=80"}; len(seen) != 2 || seen[0] != want[0] || seen[1] != want[1] {
+		t.Errorf("Enumerate saw %v, want %v", seen, want)
+	}
+}

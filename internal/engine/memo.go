@@ -639,7 +639,7 @@ func (dv *deriv) memoStep(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int
 			dv.env.Undo(envMark)
 			continue
 		}
-		dv.pushTrace(TraceEntry{Op: TraceCall, Atom: dv.env.ResolveAtom(g.Atom), Memo: memoAnn})
+		dv.pushTrace(TraceEntry{Op: TraceCall, Atom: dv.traceAtom(g.Atom), Memo: memoAnn})
 		c := dv.explore(rebuild(ast.True{}), depth+1, emit)
 		dv.popTrace(c)
 		if !c {

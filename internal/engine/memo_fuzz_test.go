@@ -38,7 +38,7 @@ func FuzzMemoKey(f *testing.F) {
 		if e.memo == nil {
 			t.Fatal("memo not enabled")
 		}
-		dv := newDeriv(e, d)
+		dv := newDeriv(e, d, ga)
 		defer dv.release()
 		keyA, _ := dv.appendMemoKey(nil, ga, nil)
 		keyB, _ := dv.appendMemoKey(nil, gb, nil)

@@ -68,7 +68,7 @@ func (e *Engine) ProvePar(goal ast.Goal, d *db.DB, workers int) (*Result, error)
 				results <- outcome{suc: st}
 				return
 			}
-			dv := newDeriv(e, st.d)
+			dv := newDeriv(e, st.d, st.tree)
 			dv.shared = &sharedSteps
 			found := false
 			dv.explore(st.tree, 1, func() bool {
@@ -138,7 +138,7 @@ type successor struct {
 // whose cutoff hook captures each frontier configuration. d is rolled
 // back afterwards.
 func (e *Engine) collectSuccessors(goal ast.Goal, d *db.DB) ([]successor, error) {
-	dv := newDeriv(e, d)
+	dv := newDeriv(e, d, goal)
 	var out []successor
 	mark := d.Mark()
 	dv.depthLimit = 1

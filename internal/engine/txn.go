@@ -28,7 +28,8 @@ func (e *Engine) ProveDelta(goal ast.Goal, d *db.DB) (*Result, []db.Op, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dv := newDeriv(e, d)
+	dv := newDeriv(e, d, goal)
+	defer dv.release()
 	res := &Result{}
 	dbMark := d.Mark()
 	found := false
@@ -71,7 +72,8 @@ func (e *Engine) Enumerate(goal ast.Goal, d *db.DB, max int, emit func(map[strin
 	if err != nil {
 		return nil, err
 	}
-	dv := newDeriv(e, d)
+	dv := newDeriv(e, d, goal)
+	defer dv.release()
 	dbMark := d.Mark()
 	n := 0
 	dv.explore(goal, 0, func() bool {

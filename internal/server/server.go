@@ -752,8 +752,7 @@ func (s *Server) proverProfile() map[string]PredProfile {
 // heads, one lane at a time — the per-lane positions may be torn across
 // lanes, which is fine: validation and catch-up are per lane. The global
 // version is read FIRST, so by the time each lane is absorbed it holds at
-// least every commit with LSN <= that version, making sess.version a sound
-// fast-path watermark.
+// least every commit with LSN <= that version.
 func (s *Server) rebuildReplica(sess *session) {
 	head := s.version.Load()
 	fresh := db.New()
@@ -768,16 +767,15 @@ func (s *Server) rebuildReplica(sess *session) {
 	sess.version = head
 }
 
-// syncSession brings a session's replica up to the current head version.
-// The fast path — nothing committed since the replica's version — is a
-// single atomic load; behind it, only the lanes that actually advanced
-// past the replica's per-lane position are caught up, each under its own
-// lane lock.
+// syncSession brings a session's replica up to the current head version:
+// every lane that advanced past the replica's position on it is caught up
+// under its own lane lock; a lane that did not costs two atomic loads.
+// sess.version cannot stand in for the per-lane positions — after the
+// session's own commit it is that commit's LSN, while only the lanes the
+// commit touched were caught up, so "head == sess.version" would keep
+// skipping the others until some other session committed.
 func (s *Server) syncSession(sess *session) {
 	head := s.version.Load()
-	if head == sess.version {
-		return
-	}
 	for i := range s.shards {
 		if !s.catchUpShard(sess, i) {
 			// A lane's log was pruned past the replica: full resync.

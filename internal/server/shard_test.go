@@ -203,3 +203,73 @@ func TestShardedSerializabilityHammer(t *testing.T) {
 		t.Fatalf("server final state differs from the LSN-order serial replay:\nserver:\n%s\nreplay:\n%s", d, replay)
 	}
 }
+
+// A session's own commit catches it up only on the lanes the commit
+// touched. When another session committed on a different lane in between,
+// the next transaction must still see that commit: sync has to compare
+// positions lane by lane, not the session's version against the head —
+// after its own commit the two are equal while a lane is stale, and every
+// one of the 16 retries would re-read the same stale tuples.
+func TestSyncCatchesUpLanesOwnCommitSkipped(t *testing.T) {
+	const nshards = 2
+	// Two accounts in different lanes, found through the routing function.
+	byShard := make(map[int]string)
+	for i := 0; len(byShard) < nshards && i < 64; i++ {
+		name := fmt.Sprintf("n%d", i)
+		sh := db.ShardOf(nshards, "account", term.NewSym(name).Code())
+		if _, ok := byShard[sh]; !ok {
+			byShard[sh] = name
+		}
+	}
+	if len(byShard) < nshards {
+		t.Fatal("no two accounts in different lanes among n0..n63")
+	}
+	mine, theirs := byShard[0], byShard[1]
+
+	s, err := New(Options{Program: shardedBankSrc(64), StoreShards: nshards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, b := s.InProcClient(), s.InProcClient()
+	defer a.Close()
+	defer b.Close()
+
+	// a opens a transaction on its own lane (syncing at BEGIN); b then
+	// commits on the other lane; a's commit makes a's version the head
+	// while a's replica has not seen b's write.
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(fmt.Sprintf("deposit(1, %s)", mine)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Exec(fmt.Sprintf("deposit(5, %s)", theirs)); err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := a.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := s.Version(); lsn != head {
+		t.Fatalf("a committed at %d but the head is %d: the scenario needs a to hold the head version", lsn, head)
+	}
+
+	sols, err := a.Query(fmt.Sprintf("account(%s, B)", theirs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sols) != 1 || sols[0]["B"] != "1005" {
+		t.Fatalf("a reads %v on the lane b wrote, want one answer B=1005", sols)
+	}
+	res, err := a.Exec(fmt.Sprintf("deposit(1, %s)", theirs))
+	if err != nil {
+		t.Fatalf("a's transaction on the lane b wrote: %v", err)
+	}
+	if res.Retries != 0 {
+		t.Fatalf("a's transaction on the lane b wrote took %d retries, want 0", res.Retries)
+	}
+	if st := s.Stats(); st.Conflicts != 0 {
+		t.Fatalf("%d conflicts in a schedule with none", st.Conflicts)
+	}
+}
