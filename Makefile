@@ -28,7 +28,7 @@ race:
 check: vet
 	$(GO) test ./...
 	$(GO) test -race ./internal/server ./internal/db ./internal/term ./internal/obs ./internal/history
-	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestMemoTableHammer' ./internal/server ./internal/engine
+	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestLabFlowSerializabilityHammer|TestMemoTableHammer' ./internal/server ./internal/engine
 	$(GO) test -race -count=2 -run 'TestCheckpoint|TestWALv1|TestASOF|TestPersistentLSNs|TestCommitsFlowDuringCheckpoint' ./internal/db ./internal/server
 
 cover:
@@ -42,7 +42,8 @@ cover:
 # transfer, whole lab workflow, planned-vs-textual, tabled-vs-untabled),
 # the database churn pair, the simulator, and the in-process server
 # workloads including the sharded-store pair, disjoint (every client in a
-# private commit lane) and contended (shared accounts, mostly cross-lane) —
+# private commit lane) and contended (shared accounts, mostly cross-lane),
+# and the genome-lab workflow (BenchmarkServerLabFlow) —
 # "durable" (real WAL + fsync per acknowledged commit, including the
 # stage-sampled variant), and "enabled" (full structured tracing into a
 # sink). Durable throughput runs time-based (fsync cost varies too much
@@ -56,12 +57,12 @@ cover:
 # leaves a truncated artifact (the PR 8 recording died mid-pipe and left
 # an empty file; the old `> tmp && mv` chain could not survive a failed
 # producer).
-N ?= 12
+N ?= 13
 BENCH := BENCH_PR$(N).json
 BENCH_PREV := BENCH_PR$(shell expr $(N) - 1).json
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverLabFlow$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverLabFlow$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$|BenchmarkServerLabFlow$$' \
 		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label disabled -merge $(BENCH) -o $(BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughputDurable$$|BenchmarkServerThroughputDurableSampled$$|BenchmarkServerThroughputDisjointDurable$$|BenchmarkServerThroughputContendedDurable$$' \
 		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge $(BENCH) -o $(BENCH)

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,19 +89,25 @@ func BenchmarkProverTransfer(b *testing.B) {
 	}
 }
 
+// benchLabProgram is the lab_flow program of BENCHMARK.json: the genome-lab
+// mapping workflow over a pool of seven agents.
+func benchLabProgram(b *testing.B) string {
+	rules, err := workflow.Compile(workflow.GenomeSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rules + workflow.AgentFacts(map[string]int{
+		"technician": 2, "thermocycler": 1, "gel_rig": 1, "camera": 1, "analyst": 2,
+	})
+}
+
 // BenchmarkProverLabFlow times the proof of one whole genome-laboratory
 // mapping workflow — iso(wf_mapping(N)) for a fresh item N, the lab_flow
 // transaction of BENCHMARK.json — on an engine built as a server session
 // builds it (loop check, failure table, plan). Each iteration keeps its
 // done_* facts, as the server's replica does.
 func BenchmarkProverLabFlow(b *testing.B) {
-	rules, err := workflow.Compile(workflow.GenomeSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := parser.MustParse(rules + workflow.AgentFacts(map[string]int{
-		"technician": 2, "thermocycler": 1, "gel_rig": 1, "camera": 1, "analyst": 2,
-	}))
+	prog := parser.MustParse(benchLabProgram(b))
 	eng := engine.New(prog, engine.Options{LoopCheck: true, Table: true, Plan: true})
 	d, _ := db.FromFacts(prog.Facts)
 	goals := make([]td.Goal, b.N)
@@ -685,6 +692,63 @@ func benchServerThroughput(b *testing.B, accounts int, mkOpts func(b *testing.B)
 					b.ReportMetric(float64(st.CrossShardCommits)/float64(st.Commits), "cross/commit")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkServerLabFlow is the server-level twin of BenchmarkProverLabFlow
+// and the in-process twin of BENCHMARK.json's lab_flow workload: 1 and 2
+// clients each committing iso(wf_mapping(N)) for fresh items N over the one
+// shared agent pool. Every instance takes and returns every agent class, so
+// conflicts/commit is the number to watch beside ns/op: it is what the
+// commit path makes of transactions whose net effects are disjoint.
+// giveups/op counts instances refused after MaxRetries lost rounds (two
+// in-process clients starved each other that way when commits carried the
+// raw undo trail).
+func BenchmarkServerLabFlow(b *testing.B) {
+	program := benchLabProgram(b)
+	for _, clients := range []int{1, 2} {
+		b.Run(fmt.Sprintf("clients%d", clients), func(b *testing.B) {
+			srv, err := td.NewServer(td.ServerOptions{Program: program})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			perClient := (b.N + clients - 1) / clients
+			var wg sync.WaitGroup
+			var giveups atomic.Int64
+			errs := make(chan error, clients)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					cl := srv.InProcClient()
+					defer cl.Close()
+					for i := 0; i < perClient; i++ {
+						_, err := cl.Exec(fmt.Sprintf("iso(wf_mapping(%d))", c*perClient+i))
+						if td.IsConflict(err) {
+							giveups.Add(1)
+						} else if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			close(errs)
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+			st := srv.Stats()
+			if st.Commits+giveups.Load() != int64(clients*perClient) || st.Commits == 0 {
+				b.Fatalf("%d commits and %d give-ups for %d instances", st.Commits, giveups.Load(), clients*perClient)
+			}
+			b.ReportMetric(float64(st.Conflicts)/float64(st.Commits), "conflicts/commit")
+			b.ReportMetric(float64(giveups.Load())/float64(clients*perClient), "giveups/op")
 		})
 	}
 }

@@ -160,6 +160,32 @@ func TestDumpWide(t *testing.T) {
 	}
 }
 
+// A lost OCC round's row says what it lost to: the winner's LSN and the
+// atom of the winner's op the loser had observed.
+func TestDumpWideConflictCause(t *testing.T) {
+	jsonl := filepath.Join(t.TempDir(), "obs.jsonl")
+	sink, err := obs.OpenJSONL(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.EmitWide(&obs.WideEvent{Event: "txn", Verb: "COMMIT", Conflict: "read_write",
+		ConflictLSN: 41, ConflictAtom: "account(a, 100)", TotalUs: 9})
+	sink.EmitWide(&obs.WideEvent{Event: "txn", Verb: "EXEC", LSN: 42, Retries: 1, Conflict: "stale_replica", TotalUs: 9})
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := dumpWide(&out, jsonl); err != nil {
+		t.Fatalf("dumpWide: %v", err)
+	}
+	if want := "conflict=read_write lost_to=41:account(a, 100)"; !strings.Contains(out.String(), want) {
+		t.Errorf("wide dump missing %q:\n%s", want, out.String())
+	}
+	if strings.Count(out.String(), "lost_to=") != 1 {
+		t.Errorf("a round lost to pruned history names a winner:\n%s", out.String())
+	}
+}
+
 // A v1 WAL (pre-PR-6 framing, no commit boundaries) stays dumpable.
 func TestDumpWALv1(t *testing.T) {
 	dir := t.TempDir()

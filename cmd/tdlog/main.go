@@ -328,6 +328,9 @@ func dumpWide(w io.Writer, path string) error {
 		if ev.Conflict != "" {
 			fmt.Fprintf(w, " conflict=%s", ev.Conflict)
 		}
+		if ev.ConflictAtom != "" {
+			fmt.Fprintf(w, " lost_to=%d:%s", ev.ConflictLSN, ev.ConflictAtom)
+		}
 		if len(ev.Lanes) > 0 {
 			fmt.Fprintf(w, " lanes=%v", ev.Lanes)
 		}

@@ -129,3 +129,68 @@ func TestUnaryInsertAllocBound(t *testing.T) {
 		t.Errorf("insert of a new unary tuple: %v allocs/op, want <= %d", n, ceiling)
 	}
 }
+
+// A read observation hands the hook a fixed-size fingerprint folded from
+// term codes: with a hook installed, probes, scans of every granularity,
+// emptiness tests and no-op updates still allocate nothing.
+func TestReadObservationAllocs(t *testing.T) {
+	d := New()
+	row := allocRow("alice", "bob")
+	d.Insert("edge", row)
+	d.ResetTrail()
+	seen := make(map[Key128]struct{})
+	d.SetReadHook(func(_ ReadKind, _ string, key Key128, _ uint64) { seen[key] = struct{}{} })
+	env := term.NewEnv()
+	ground := row
+	absent := allocRow("carol", "dave")
+	n := testing.AllocsPerRun(200, func() {
+		d.Contains("edge", row)
+		d.Contains("nosuch", row)
+		d.Scan("edge", ground, env, func() bool { return true })
+		d.IsEmpty("edge")
+		d.Insert("edge", row)
+		d.Delete("edge", absent)
+	})
+	if n != 0 {
+		t.Errorf("hooked reads: %v allocs/op, want 0", n)
+	}
+	if len(seen) == 0 {
+		t.Fatal("hook never fired")
+	}
+}
+
+// DeltaSince cancels on DB-owned scratch: after warm-up its one allocation
+// is the slice it returns (none when everything cancelled).
+func TestDeltaSinceAllocs(t *testing.T) {
+	d := New()
+	rows := make([][]term.Term, 8)
+	for i := range rows {
+		rows[i] = []term.Term{term.NewInt(int64(i))}
+		d.Insert("available", rows[i])
+	}
+	d.ResetTrail()
+	for _, r := range rows { // del … ins pairs that cancel, plus survivors
+		d.Delete("available", r)
+		d.Insert("available", r)
+	}
+	for i := range rows {
+		d.Insert("done", rows[i])
+	}
+	if got := len(d.DeltaSince(0)); got != len(rows) {
+		t.Fatalf("net delta has %d ops, want %d", got, len(rows))
+	}
+	if n := testing.AllocsPerRun(200, func() { d.DeltaSince(0) }); n > 1 {
+		t.Errorf("DeltaSince: %v allocs/op, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { d.DeltaSince(len(rows) * 2) }); n > 1 {
+		t.Errorf("DeltaSince without cancellations: %v allocs/op, want <= 1", n)
+	}
+	d.Undo(len(rows) * 2)
+	if n := testing.AllocsPerRun(200, func() {
+		if d.DeltaSince(0) != nil {
+			panic("cancelled delta not empty")
+		}
+	}); n != 0 {
+		t.Errorf("DeltaSince of a cancelled trail: %v allocs/op, want 0", n)
+	}
+}

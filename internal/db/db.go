@@ -20,6 +20,7 @@
 package db
 
 import (
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"sort"
@@ -44,6 +45,12 @@ type DB struct {
 	// calls; no method keeps a reference to it past the point where control
 	// can re-enter the DB (Scan yields, hooks), so re-entrant use is safe.
 	keyBuf []byte
+
+	// netSeen and netLive are DeltaSince's scratch: the tuples with a
+	// surviving change so far, and the trail positions of those changes.
+	// Both are left empty between calls and only keep their storage.
+	netSeen map[netKey]int32
+	netLive []int32
 
 	// Operation tallies for observability. Plain int64s: a DB is owned by a
 	// single goroutine (each server session runs on its own replica), so
@@ -96,20 +103,34 @@ const (
 	ReadPred
 )
 
+// Key128 is a 128-bit conflict key: the fingerprint of a tuple, of a
+// (relation, first argument) prefix, of a relation, or of a predicate at
+// every arity. The four are nested prefixes of one FNV stream over
+// (pred, arity, argument codes) — the stream the DB fingerprint is built
+// from — so equal tuples always carry equal keys, and a reader's prefix,
+// relation and predicate keys equal the ones derived from any tuple below
+// them. Distinct tuples may collide (2^-128 per pair), which transactional
+// callers must treat as a possible false conflict, never as identity. The
+// argument codes are interned within this process (term.Code), so keys are
+// meaningful only inside it: bytes that outlive the process use term.KeyOf.
+type Key128 [2]uint64
+
 // ReadHook observes the read dependencies of elementary operations:
 // queries, emptiness tests, and the presence checks implicit in set-semantic
 // updates. Transaction machinery (internal/server) uses it to build the
 // read set that optimistic commit validation checks against concurrent
 // writers. The hook fires on every explored execution path, so recorded
 // read sets over-approximate the witness path — a sound direction for
-// conflict detection. Keys passed to the hook are the portable canonical
-// encodings of term.KeyOf (matching Op.Key), computed only when a hook is
-// installed. first is the ground code (term.Code) of the tuple's first
-// argument for ReadKey/ReadPrefix observations with arity > 0, and 0
-// otherwise — codes are never 0, so 0 unambiguously means "no first
-// argument". Shard-aware callers feed it to ShardOf to tag the read with
-// the shard the observed tuples live in.
-type ReadHook func(kind ReadKind, pred string, arity int, key string, first uint64)
+// conflict detection. key is the fingerprint of what was observed at the
+// kind's granularity (matching Op.ConflictKeys): the tuple for ReadKey, the
+// (relation, first argument) prefix for ReadPrefix, the relation for
+// ReadRel, the predicate for ReadPred. No string is built for it. first is
+// the ground code (term.Code) of the tuple's first argument for
+// ReadKey/ReadPrefix observations with arity > 0, and 0 otherwise — codes
+// are never 0, so 0 unambiguously means "no first argument". Shard-aware
+// callers feed it to ShardOf to tag the read with the shard the observed
+// tuples live in.
+type ReadHook func(kind ReadKind, pred string, key Key128, first uint64)
 
 // SetReadHook installs (or, with nil, removes) the read observation hook.
 func (d *DB) SetReadHook(h ReadHook) { d.readHook = h }
@@ -252,27 +273,55 @@ func fnvU64(h uint64, v uint64) uint64 {
 	return h
 }
 
-// relSeed hashes the relation identity into both fingerprint streams.
-func relSeed(pred string, arity int) (uint64, uint64) {
+// predSeed hashes the predicate name into both fingerprint streams.
+func predSeed(pred string) (uint64, uint64) {
 	lo, hi := uint64(fnvOffset), uint64(fnvOffset2)
 	for i := 0; i < len(pred); i++ {
 		lo = fnvByte(lo, pred[i])
 		hi = fnvByte(hi, pred[i])
 	}
-	lo = fnvU64(lo, uint64(arity))
-	hi = fnvU64(hi, uint64(arity)+1)
 	return lo, hi
+}
+
+// foldArity folds a relation's arity onto the predicate seeds.
+func foldArity(lo, hi uint64, arity int) (uint64, uint64) {
+	return fnvU64(lo, uint64(arity)), fnvU64(hi, uint64(arity)+1)
+}
+
+// relSeed hashes the relation identity into both fingerprint streams.
+func relSeed(pred string, arity int) (uint64, uint64) {
+	lo, hi := predSeed(pred)
+	return foldArity(lo, hi, arity)
+}
+
+// foldCode folds one argument code onto both streams.
+func foldCode(lo, hi, c uint64) (uint64, uint64) {
+	return fnvU64(lo, c), fnvU64(hi, c^0xa5a5a5a5a5a5a5a5)
 }
 
 // tupleHashFrom folds the row's term codes onto the relation seeds.
 func tupleHashFrom(seedLo, seedHi uint64, row []term.Term) (uint64, uint64) {
 	lo, hi := seedLo, seedHi
 	for _, t := range row {
-		c := t.Code()
-		lo = fnvU64(lo, c)
-		hi = fnvU64(hi, c^0xa5a5a5a5a5a5a5a5)
+		lo, hi = foldCode(lo, hi, t.Code())
 	}
 	return lo, hi
+}
+
+// seedOf returns relSeed(pred, arity), from the relation's cache when r is
+// the (possibly nil) relation pred/arity.
+func seedOf(r *relation, pred string, arity int) (uint64, uint64) {
+	if r != nil {
+		return r.seedLo, r.seedHi
+	}
+	return relSeed(pred, arity)
+}
+
+// observeKey reports the ReadKey observation of the ground tuple pred(row).
+func (d *DB) observeKey(r *relation, pred string, row []term.Term) {
+	lo, hi := seedOf(r, pred, len(row))
+	lo, hi = tupleHashFrom(lo, hi, row)
+	d.readHook(ReadKey, pred, Key128{lo, hi}, firstCode(row))
 }
 
 // tupleHash returns the two fingerprint contributions of one tuple (the
@@ -298,7 +347,8 @@ func (d *DB) Count(pred string, arity int) int {
 // This implements the elementary test empty.p.
 func (d *DB) IsEmpty(pred string) bool {
 	if d.readHook != nil {
-		d.readHook(ReadPred, pred, -1, "", 0)
+		lo, hi := predSeed(pred)
+		d.readHook(ReadPred, pred, Key128{lo, hi}, 0)
 	}
 	for _, r := range d.rels {
 		if r.pred == pred && len(r.rows) > 0 {
@@ -313,10 +363,10 @@ func (d *DB) Contains(pred string, row []term.Term) bool {
 	d.cnt.Lookups++
 	kb := term.AppendKey(d.keyBuf[:0], row)
 	d.keyBuf = kb
-	if d.readHook != nil {
-		d.readHook(ReadKey, pred, len(row), term.KeyOf(row), firstCode(row))
-	}
 	r := d.rel(pred, len(row), false)
+	if d.readHook != nil {
+		d.observeKey(r, pred, row)
+	}
 	if r == nil {
 		return false
 	}
@@ -333,7 +383,7 @@ func (d *DB) Insert(pred string, row []term.Term) bool {
 	d.keyBuf = kb
 	if d.readHook != nil {
 		// Set semantics make every update observe its tuple's presence.
-		d.readHook(ReadKey, pred, len(row), term.KeyOf(row), firstCode(row))
+		d.observeKey(r, pred, row)
 	}
 	if _, ok := r.rows[string(kb)]; ok {
 		return false
@@ -352,10 +402,10 @@ func (d *DB) Delete(pred string, row []term.Term) bool {
 	d.cnt.Lookups++
 	kb := term.AppendKey(d.keyBuf[:0], row)
 	d.keyBuf = kb
-	if d.readHook != nil {
-		d.readHook(ReadKey, pred, len(row), term.KeyOf(row), firstCode(row))
-	}
 	r := d.rel(pred, len(row), false)
+	if d.readHook != nil {
+		d.observeKey(r, pred, row)
+	}
 	if r == nil {
 		return false
 	}
@@ -556,23 +606,30 @@ func (d *DB) Scan(pred string, args []term.Term, env *term.Env, yield func() boo
 	}
 	d.keyBuf = kb
 
-	var resolved []term.Term
-	if !ground || d.readHook != nil {
-		resolved = env.ResolveArgs(args)
-	}
+	r := d.rel(pred, len(args), false)
 	if d.readHook != nil {
 		// Record the read at the granularity the lookup below uses, even
 		// when the relation does not exist yet: observing absence is a read.
+		// kb holds the codes of the leading ground arguments, which is all
+		// the key and prefix fingerprints fold.
+		lo, hi := seedOf(r, pred, len(args))
+		var first uint64
+		if len(kb) > 0 {
+			first = binary.LittleEndian.Uint64(kb)
+		}
 		switch {
 		case ground:
-			d.readHook(ReadKey, pred, len(args), term.KeyOf(resolved), firstCode(resolved))
-		case d.useIndex && !resolved[0].IsVar():
-			d.readHook(ReadPrefix, pred, len(args), term.KeyOf(resolved[:1]), resolved[0].Code())
+			for i := 0; i < len(kb); i += 8 {
+				lo, hi = foldCode(lo, hi, binary.LittleEndian.Uint64(kb[i:]))
+			}
+			d.readHook(ReadKey, pred, Key128{lo, hi}, first)
+		case d.useIndex && len(kb) > 0:
+			lo, hi = foldCode(lo, hi, first)
+			d.readHook(ReadPrefix, pred, Key128{lo, hi}, first)
 		default:
-			d.readHook(ReadRel, pred, len(args), "", 0)
+			d.readHook(ReadRel, pred, Key128{lo, hi}, 0)
 		}
 	}
-	r := d.rel(pred, len(args), false)
 	if r == nil {
 		return true
 	}
@@ -589,6 +646,7 @@ func (d *DB) Scan(pred string, args []term.Term, env *term.Env, yield func() boo
 	// Choose candidates: first-arg index bucket when available and
 	// selective, else the whole relation; either way through the cached
 	// snapshot, so the deterministic sort happens once per mutation epoch.
+	resolved := env.ResolveArgs(args)
 	var candidates [][]term.Term
 	if r.index != nil && !resolved[0].IsVar() {
 		d.cnt.IndexHits++
@@ -768,8 +826,8 @@ func (d *DB) AllAtoms() iter.Seq[term.Atom] {
 
 // Op is one effective elementary update — an undo-log entry made portable.
 // Sequences of Ops are the write sets that transactional callers (the
-// server's optimistic concurrency control) extract, validate, log, and
-// replay.
+// server's optimistic concurrency control) extract with DeltaSince,
+// validate, log, and replay.
 type Op struct {
 	Insert bool // false = delete
 	Pred   string
@@ -781,8 +839,8 @@ type Op struct {
 	// storeKey also marks Row as an immutably-stored row that Apply may
 	// share instead of copying. NOT the canonical portable key — see Key.
 	storeKey string
-	// canon memoizes Key: a commit needs each op's canonical key three
-	// times (conflict keys, frozen view, WAL record).
+	// canon memoizes Key: a durable commit needs each op's canonical key
+	// twice (frozen view, WAL record).
 	canon string
 }
 
@@ -796,6 +854,25 @@ func (o *Op) Key() string {
 	return o.canon
 }
 
+// ConflictKeys returns the fingerprints a committed op is validated by: its
+// predicate, its relation, its (relation, first argument) prefix and its
+// tuple — what a ReadHook reports for a ReadPred, ReadRel, ReadPrefix and
+// ReadKey observation covering the tuple. A zero-arity op has no first
+// argument; its prefix is its relation key, which no prefix read carries.
+func (o *Op) ConflictKeys() (pred, rel, prefix, tuple Key128) {
+	lo, hi := predSeed(o.Pred)
+	pred = Key128{lo, hi}
+	lo, hi = foldArity(lo, hi, len(o.Row))
+	rel, prefix = Key128{lo, hi}, Key128{lo, hi}
+	for i, t := range o.Row {
+		lo, hi = foldCode(lo, hi, t.Code())
+		if i == 0 {
+			prefix = Key128{lo, hi}
+		}
+	}
+	return pred, rel, prefix, Key128{lo, hi}
+}
+
 func (o Op) String() string {
 	verb := "del"
 	if o.Insert {
@@ -804,17 +881,64 @@ func (o Op) String() string {
 	return verb + "." + term.Atom{Pred: o.Pred, Args: o.Row}.String()
 }
 
-// DeltaSince returns the effective updates recorded on the undo trail since
-// mark, in execution order. Because backtracking removes undone entries,
-// the result is exactly the net-effect write set of the surviving
-// execution path.
+// netScratchMax bounds the DeltaSince scratch a DB keeps between calls: a
+// bulk load's (one LOAD of a fact file through a session replica) is
+// dropped rather than pinned for the replica's lifetime.
+const netScratchMax = 1024
+
+// netKey identifies a tuple within one DB for DeltaSince.
+type netKey struct {
+	rel *relation
+	key string
+}
+
+// DeltaSince returns the net effect of the updates recorded on the undo
+// trail since mark: every tuple whose membership differs from the state at
+// mark appears exactly once, as the insert or delete that makes the
+// difference, in the order of those surviving updates. Backtracking has
+// already removed undone entries; what is cancelled here are the pairs the
+// surviving execution path itself made (del.p(a) … ins.p(a)). Under set
+// semantics the effective updates of one tuple alternate, so each one
+// undoes its predecessor and a tuple updated an even number of times is
+// left out. Applying the result to the state at mark reproduces the current
+// state; it is empty exactly when the two hold the same tuples. The one
+// allocation is the returned slice.
 func (d *DB) DeltaSince(mark int) []Op {
 	if mark >= len(d.trail) {
 		return nil
 	}
-	out := make([]Op, 0, len(d.trail)-mark)
-	for _, c := range d.trail[mark:] {
-		out = append(out, Op{Insert: c.insert, Pred: c.rel.pred, Row: c.row, storeKey: c.key})
+	trail := d.trail[mark:]
+	if d.netSeen == nil {
+		d.netSeen = make(map[netKey]int32)
+	}
+	live := d.netLive[:0] // trail positions of surviving updates, -1 once undone
+	n := 0
+	for i := range trail {
+		k := netKey{trail[i].rel, trail[i].key}
+		if j, ok := d.netSeen[k]; ok {
+			live[j] = -1
+			delete(d.netSeen, k)
+			n--
+			continue
+		}
+		d.netSeen[k] = int32(len(live))
+		live = append(live, int32(i))
+		n++
+	}
+	clear(d.netSeen)
+	d.netLive = live[:0]
+	if len(live) > netScratchMax {
+		d.netSeen, d.netLive = nil, nil
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Op, 0, n)
+	for _, i := range live {
+		if i >= 0 {
+			c := &trail[i]
+			out = append(out, Op{Insert: c.insert, Pred: c.rel.pred, Row: c.row, storeKey: c.key})
+		}
 	}
 	return out
 }

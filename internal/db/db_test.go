@@ -443,8 +443,7 @@ func TestUnaryRelationNeedsNoIndex(t *testing.T) {
 	type obs struct {
 		kind  ReadKind
 		pred  string
-		arity int
-		key   string
+		key   Key128
 		first uint64
 	}
 	x := term.NewVar("X", 0)
@@ -466,8 +465,8 @@ func TestUnaryRelationNeedsNoIndex(t *testing.T) {
 			if r := d.rel("edge", 2, false); d.useIndex && r.index == nil {
 				t.Error("binary relation lost its first-argument index")
 			}
-			d.SetReadHook(func(kind ReadKind, pred string, arity int, key string, first uint64) {
-				reads = append(reads, obs{kind, pred, arity, key, first})
+			d.SetReadHook(func(kind ReadKind, pred string, key Key128, first uint64) {
+				reads = append(reads, obs{kind, pred, key, first})
 			})
 			scans = append(scans,
 				scanAll(d, "done", row("a")),
@@ -538,5 +537,120 @@ func TestAllIterator(t *testing.T) {
 	}
 	if len(all) != 3 || all[0] != "p(a)" || all[2] != "q(z)" {
 		t.Fatalf("AllAtoms = %v", all)
+	}
+}
+
+// Property: over random insert/delete sequences with backtracking, the
+// delta since a mark is the net effect — it takes a clone of the state at
+// the mark to the current state and fingerprint, names every tuple at most
+// once, and is empty exactly when the fingerprint did not move.
+func TestDeltaSinceIsNetEffect(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := New()
+		vals := []string{"a", "b", "c", "d", "e"}
+		update := func() {
+			pred, rw := "p", row(vals[r.Intn(len(vals))])
+			if r.Intn(3) == 0 {
+				pred, rw = "q", row(vals[r.Intn(len(vals))], vals[r.Intn(2)])
+			}
+			if r.Intn(2) == 0 {
+				d.Insert(pred, rw)
+			} else {
+				d.Delete(pred, rw)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			update()
+		}
+		d.ResetTrail()
+		base, baseFP := d.Clone(), d.Fingerprint()
+		mark := d.Mark()
+		var undo []int
+		for step := 0; step < 60; step++ {
+			switch r.Intn(8) {
+			case 0:
+				undo = append(undo, d.Mark())
+			case 1:
+				if n := len(undo); n > 0 {
+					d.Undo(undo[n-1])
+					undo = undo[:n-1]
+				}
+			default:
+				update()
+			}
+			delta := d.DeltaSince(mark)
+			seen := make(map[string]bool, len(delta))
+			for i := range delta {
+				k := delta[i].Pred + "/" + delta[i].Key()
+				if seen[k] {
+					t.Logf("seed %d: %s appears twice in %v", seed, k, delta)
+					return false
+				}
+				seen[k] = true
+			}
+			if (len(delta) == 0) != (d.Fingerprint() == baseFP) {
+				t.Logf("seed %d: %d net ops but fingerprint moved = %v", seed, len(delta), d.Fingerprint() != baseFP)
+				return false
+			}
+			got := base.Clone()
+			got.Apply(delta)
+			if !got.Equal(d) || got.Fingerprint() != d.Fingerprint() {
+				t.Logf("seed %d: base + %v =\n%s, want\n%s", seed, delta, got, d)
+				return false
+			}
+			if got.TrailLen() != len(delta) {
+				t.Logf("seed %d: %d of %d net ops had no effect on the base", seed, len(delta)-got.TrailLen(), len(delta))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An op's conflict keys are the keys a read hook reports for reads at each
+// granularity that cover the op's tuple.
+func TestConflictKeysMatchReadObservations(t *testing.T) {
+	d := New()
+	d.Insert("p", row("a", "b"))
+	d.Insert("n", nil)
+	d.ResetTrail()
+	got := map[ReadKind]Key128{}
+	d.SetReadHook(func(kind ReadKind, _ string, key Key128, _ uint64) { got[kind] = key })
+	x, y := term.NewVar("X", 0), term.NewVar("Y", 1)
+	scanAll(d, "p", row("a", "b"))
+	scanAll(d, "p", []term.Term{sym("a"), y})
+	scanAll(d, "p", []term.Term{x, y})
+	d.IsEmpty("p")
+	op := Op{Insert: true, Pred: "p", Row: row("a", "b")}
+	pred, rel, prefix, tuple := op.ConflictKeys()
+	want := map[ReadKind]Key128{ReadKey: tuple, ReadPrefix: prefix, ReadRel: rel, ReadPred: pred}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("observed %v, op keys %v", got, want)
+	}
+	for _, probe := range []func(){
+		func() { d.Contains("p", row("a", "b")) },
+		func() { d.Insert("p", row("a", "b")) },
+		func() { d.Delete("p", row("a", "zzz")); d.Delete("p", row("a", "b")) },
+	} {
+		delete(got, ReadKey)
+		probe()
+		if got[ReadKey] != tuple {
+			t.Errorf("update/probe observed key %v, op key %v", got[ReadKey], tuple)
+		}
+	}
+	// Absent relations and zero-arity tuples key the same way.
+	scanAll(d, "n", nil)
+	nop := Op{Pred: "n"}
+	if _, _, _, tuple := nop.ConflictKeys(); got[ReadKey] != tuple {
+		t.Errorf("zero-arity scan observed %v, op key %v", got[ReadKey], tuple)
+	}
+	d.Contains("absent", row("a"))
+	aop := Op{Pred: "absent", Row: row("a")}
+	if _, _, _, tuple := aop.ConflictKeys(); got[ReadKey] != tuple {
+		t.Errorf("probe of a missing relation observed %v, op key %v", got[ReadKey], tuple)
 	}
 }

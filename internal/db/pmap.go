@@ -196,12 +196,21 @@ type predArity2 struct {
 	arity int
 }
 
-// FreezeDB snapshots a mutable DB into a FrozenDB.
+// FreezeDB snapshots a mutable DB into a FrozenDB in one batch: one
+// relation directory, each trie built on its own, the stored rows shared
+// (they are immutable everywhere) and size and fingerprint taken from d.
+// Rows go in in sorted order, so a hash-collision bucket lists its tuples in
+// the same order however d was built.
 func FreezeDB(d *DB) FrozenDB {
-	out := FrozenDB{}
-	for _, ra := range d.Relations() {
-		for _, row := range d.Tuples(ra.Pred, ra.Arity) {
-			out = out.Insert(ra.Pred, row)
+	out := FrozenDB{rels: make(map[predArity2]*pnode, len(d.rels)), size: d.size, lo: d.hashLo, hi: d.hashHi}
+	for id, r := range d.rels {
+		var root *pnode
+		for _, row := range r.snapshot(true) {
+			key := term.KeyOf(row)
+			root, _ = pmSet(root, pmapHash(key), 0, key, row)
+		}
+		if root != nil {
+			out.rels[predArity2{id.pred, id.arity}] = root
 		}
 	}
 	return out
@@ -257,9 +266,11 @@ func (f FrozenDB) Insert(pred string, row []term.Term) FrozenDB {
 
 // ApplyOps returns a version with the ops applied in order. Equivalent to
 // chaining Insert/Delete, but the relation directory is copied once per
-// batch instead of once per op — this runs under the server's head lock on
-// every commit. Ops extracted from an undo trail (non-empty storeKey) carry
-// rows that are immutable everywhere, so they are shared rather than copied.
+// batch instead of once per op — this runs under the server's sequencer
+// lock on every commit. Ops extracted from an undo trail (non-empty
+// storeKey) carry rows that are immutable everywhere, so they are shared
+// rather than copied. Each op's canonical key is taken through Op.Key, so a
+// WAL append of the same slice finds it already built.
 func (f FrozenDB) ApplyOps(ops []Op) FrozenDB {
 	if len(ops) == 0 {
 		return f
@@ -269,9 +280,10 @@ func (f FrozenDB) ApplyOps(ops []Op) FrozenDB {
 		rels[k] = v
 	}
 	out := FrozenDB{rels: rels, size: f.size, lo: f.lo, hi: f.hi}
-	for _, o := range ops {
+	for i := range ops {
+		o := &ops[i]
 		pa := predArity2{o.Pred, len(o.Row)}
-		key := term.KeyOf(o.Row)
+		key := o.Key()
 		if o.Insert {
 			stored := o.Row
 			if o.storeKey == "" {

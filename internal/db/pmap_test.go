@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -179,5 +180,68 @@ func BenchmarkFrozenForkUpdate(b *testing.B) {
 		child = child.Insert("tmp2", tmp)
 		child = child.Delete("tmp", tmp)
 		_ = child
+	}
+}
+
+// FreezeDB builds its tries in one batch; the result must be the value the
+// tuple-at-a-time build gives: same fingerprint and size, same Range order,
+// and a Thaw that equals the source.
+func TestFreezeDBMatchesChainedInsert(t *testing.T) {
+	d := New()
+	for i := 0; i < 3000; i++ {
+		d.Insert("account", []term.Term{term.NewInt(int64(i)), term.NewInt(int64(i % 7))})
+		if i%3 == 0 {
+			d.Insert("done", []term.Term{term.NewSym(fmt.Sprintf("w%d", i))})
+		}
+	}
+	d.Insert("flag", nil)
+	d.Insert("gone", row("x"))
+	d.Delete("gone", row("x")) // leaves an empty relation behind
+	d.ResetTrail()
+
+	chained := FrozenDB{}
+	for _, ra := range d.Relations() {
+		for _, r := range d.Tuples(ra.Pred, ra.Arity) {
+			chained = chained.Insert(ra.Pred, r)
+		}
+	}
+	fz := FreezeDB(d)
+	if fz.Fingerprint() != d.Fingerprint() || fz.Size() != d.Size() {
+		t.Fatalf("FreezeDB: fingerprint %v size %d, source has %v and %d", fz.Fingerprint(), fz.Size(), d.Fingerprint(), d.Size())
+	}
+	if !fz.Thaw().Equal(d) {
+		t.Fatal("Thaw of FreezeDB differs from the source")
+	}
+	order := func(f FrozenDB) []string {
+		var out []string
+		f.Range(func(pred string, arity int, key string, _ []term.Term) bool {
+			out = append(out, fmt.Sprintf("%s/%d|%s", pred, arity, key))
+			return true
+		})
+		return out
+	}
+	if got, want := order(fz), order(chained); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Range order of the batch build differs from the chained build (%d vs %d tuples)", len(got), len(want))
+	}
+	if fz.Count("gone", 1) != 0 || fz.Contains("gone", row("x")) {
+		t.Error("an emptied relation shows tuples in the frozen view")
+	}
+}
+
+// ApplyOps takes each op's canonical key through the Op.Key memo, so the
+// WAL append of the same slice does not build it again.
+func TestFrozenApplyOpsMemoizesKeys(t *testing.T) {
+	ops := []Op{
+		{Insert: true, Pred: "p", Row: row("a", "b")},
+		{Insert: true, Pred: "p", Row: row("c", "d")},
+	}
+	fz := FrozenDB{}.ApplyOps(ops)
+	if fz.Size() != 2 || !fz.Contains("p", row("c", "d")) {
+		t.Fatalf("ApplyOps built %d tuples", fz.Size())
+	}
+	for i := range ops {
+		if ops[i].canon != term.KeyOf(ops[i].Row) {
+			t.Errorf("op %d: canonical key not memoized by ApplyOps (canon = %q)", i, ops[i].canon)
+		}
 	}
 }

@@ -19,7 +19,7 @@ type WideEvent struct {
 	Conflict   string           `json:"conflict,omitempty"` // cause of the last lost round
 	Lanes      []int            `json:"lanes,omitempty"`    // commit lanes touched
 	CrossShard bool             `json:"cross_shard,omitempty"`
-	Ops        int              `json:"ops,omitempty"`   // write-set size
+	Ops        int              `json:"ops,omitempty"`   // write-set size (net ops)
 	Batch      int64            `json:"batch,omitempty"` // commits covered by the fsync that acked us
 	StageUs    map[string]int64 `json:"stage_us,omitempty"`
 	TotalUs    int64            `json:"total_us,omitempty"`
@@ -28,6 +28,10 @@ type WideEvent struct {
 	// sessions, so pre-tabling readers see unchanged lines).
 	MemoHits   int64 `json:"memo_hits,omitempty"`
 	MemoMisses int64 `json:"memo_misses,omitempty"`
+	// ConflictLSN and ConflictAtom say why a read_write round was lost: the
+	// winning commit's LSN and the atom of its op the loser had observed.
+	ConflictLSN  uint64 `json:"conflict_lsn,omitempty"`
+	ConflictAtom string `json:"conflict_atom,omitempty"`
 }
 
 // WideSink receives wide events. Implementations must be safe for

@@ -3,8 +3,18 @@ package server
 // Optimistic concurrency control (backward validation, à la Kung-Robinson):
 // a transaction records what it read while executing against its snapshot;
 // at commit it is checked against the write sets of every transaction that
-// committed after the snapshot was taken. Any overlap — read/write or
-// write/write — aborts the newcomer, which retries on a fresh snapshot.
+// committed after the snapshot was taken. Any overlap aborts the newcomer,
+// which retries on a fresh snapshot.
+//
+// A write set is a transaction's net effect (db.DeltaSince): the tuples
+// whose membership it changed, once each. Validation is therefore by value:
+// a winner that deleted and re-inserted a tuple determined nothing about it
+// and aborts nobody. That stays sound because every update observes its
+// tuple's presence first (set semantics; the ReadKey observation in
+// Insert/Delete), so a transaction's read set covers its own writes: one
+// that validates has seen, for every tuple it read or wrote, the membership
+// it would have seen at the head, and LSN order is a serial order. The same
+// observation makes a separate write/write check redundant.
 //
 // Reads are recorded by the database's ReadHook at the granularity the
 // lookup actually used: a single tuple key, a first-argument index bucket,
@@ -18,34 +28,35 @@ package server
 // reads name exactly one shard (the shard is a function of predicate and
 // first-argument code, which both carry), relation- and predicate-level
 // reads touch every shard. The resulting shard mask is what lets commit
-// validate against only the lanes the transaction actually touched —
-// conflict keys in different shards can never be equal, so scanning a
-// lane's commit log with the full (unsharded) read set stays exact.
+// validate against only the lanes the transaction actually touched.
+//
+// Observations and committed writes meet as db.Key128 fingerprints derived
+// from interned term codes — no key string is built on either side. Equal
+// tuples always have equal keys, so a conflict is never missed; a collision
+// between distinct tuples can only cost a spurious retry.
 
 import (
 	"math/bits"
-	"strconv"
 
 	"repro/internal/db"
-	"repro/internal/term"
 )
 
 // readSet accumulates one transaction's read observations.
 type readSet struct {
-	preds    map[string]bool // predicate name: empty.p at every arity
-	rels     map[string]bool // "pred/arity": full scans
-	prefixes map[string]bool // "pred/arity|firstArgKey": index-bucket scans
-	keys     map[string]bool // "pred/arity|rowKey": ground probes
-	nshards  int             // shard count observations are tagged against
-	mask     uint64          // shards touched by the observations so far
+	preds    map[db.Key128]struct{} // predicate at every arity: empty.p
+	rels     map[db.Key128]struct{} // relation: full scans
+	prefixes map[db.Key128]struct{} // (relation, first argument): index-bucket scans
+	keys     map[db.Key128]struct{} // tuple: ground probes and updates
+	nshards  int                    // shard count observations are tagged against
+	mask     uint64                 // shards touched by the observations so far
 }
 
 func newReadSet(nshards int) *readSet {
 	return &readSet{
-		preds:    make(map[string]bool),
-		rels:     make(map[string]bool),
-		prefixes: make(map[string]bool),
-		keys:     make(map[string]bool),
+		preds:    make(map[db.Key128]struct{}),
+		rels:     make(map[db.Key128]struct{}),
+		prefixes: make(map[db.Key128]struct{}),
+		keys:     make(map[db.Key128]struct{}),
 		nshards:  nshards,
 	}
 }
@@ -71,24 +82,21 @@ func (rs *readSet) reset() *readSet {
 	return rs
 }
 
-// relName builds the "pred/arity" conflict key. It runs for every read
-// observation and every write of every commit, so no fmt machinery.
-func relName(pred string, arity int) string { return pred + "/" + strconv.Itoa(arity) }
-
-// observe is the db.ReadHook target.
-func (rs *readSet) observe(kind db.ReadKind, pred string, arity int, key string, first uint64) {
+// observe is the db.ReadHook target. It runs for every read of every
+// explored path: a set insert of a fixed-size key, nothing built.
+func (rs *readSet) observe(kind db.ReadKind, pred string, key db.Key128, first uint64) {
 	switch kind {
 	case db.ReadKey:
-		rs.keys[relName(pred, arity)+"|"+key] = true
+		rs.keys[key] = struct{}{}
 		rs.mask |= 1 << uint(db.ShardOf(rs.nshards, pred, first))
 	case db.ReadPrefix:
-		rs.prefixes[relName(pred, arity)+"|"+key] = true
+		rs.prefixes[key] = struct{}{}
 		rs.mask |= 1 << uint(db.ShardOf(rs.nshards, pred, first))
 	case db.ReadRel:
-		rs.rels[relName(pred, arity)] = true
+		rs.rels[key] = struct{}{}
 		rs.mask = allShards(rs.nshards)
 	case db.ReadPred:
-		rs.preds[pred] = true
+		rs.preds[key] = struct{}{}
 		rs.mask = allShards(rs.nshards)
 	}
 }
@@ -97,21 +105,19 @@ func (rs *readSet) size() int {
 	return len(rs.preds) + len(rs.rels) + len(rs.prefixes) + len(rs.keys)
 }
 
-// wkey is one committed write, pre-keyed for validation and tagged with the
-// commit lane its tuple lives in.
+// wkey is one committed write, pre-keyed for validation at every read
+// granularity (db.Op.ConflictKeys) and tagged with the commit lane its
+// tuple lives in.
 type wkey struct {
-	pred   string // predicate name
-	rel    string // "pred/arity"
-	prefix string // "pred/arity|firstArgKey" ("" for arity 0)
-	key    string // "pred/arity|rowKey"
-	shard  int    // db.ShardOf(pred, first-arg code)
+	pred, rel, prefix, key db.Key128
+	shard                  int // db.ShardOf(pred, first-arg code)
 }
 
 // commitRecord is one entry of a shard's in-memory commit log: the (lane's
 // slice of the) write set of a committed transaction, at a version, with
-// pre-computed conflict keys. Records are immutable once appended to a log
-// — commit validation scans a snapshot of the log with the lane lock
-// released.
+// pre-computed conflict keys; writes[i] keys ops[i]. Records are immutable
+// once appended to a log — commit validation scans a snapshot of the log
+// with the lane lock released.
 type commitRecord struct {
 	version uint64
 	ops     []db.Op
@@ -121,34 +127,33 @@ type commitRecord struct {
 func newCommitRecord(nshards int, version uint64, ops []db.Op) commitRecord {
 	rec := commitRecord{version: version, ops: ops, writes: make([]wkey, len(ops))}
 	for i := range ops {
-		o := &ops[i]
-		rel := relName(o.Pred, len(o.Row))
-		w := wkey{pred: o.Pred, rel: rel, key: rel + "|" + o.Key(), shard: db.OpShard(nshards, o)}
-		if len(o.Row) > 0 {
-			w.prefix = rel + "|" + term.KeyOf(o.Row[:1])
-		}
-		rec.writes[i] = w
+		w := &rec.writes[i]
+		w.pred, w.rel, w.prefix, w.key = ops[i].ConflictKeys()
+		w.shard = db.OpShard(nshards, &ops[i])
 	}
 	return rec
 }
 
-// conflictsWith reports whether the committed writes in rec overlap the
-// given read set or write set (write keys as produced by newCommitRecord).
-func (rec commitRecord) conflictsWith(rs *readSet, writes []wkey) bool {
-	for _, w := range rec.writes {
-		if rs.preds[w.pred] || rs.rels[w.rel] || rs.keys[w.key] {
-			return true
+// conflictsWith returns the index of the first committed write in rec that
+// the read set observed, or -1 when rec determined nothing the transaction
+// saw.
+func (rec *commitRecord) conflictsWith(rs *readSet) int {
+	for i := range rec.writes {
+		w := &rec.writes[i]
+		if _, ok := rs.keys[w.key]; ok {
+			return i
 		}
-		if w.prefix != "" && rs.prefixes[w.prefix] {
-			return true
+		if _, ok := rs.prefixes[w.prefix]; ok {
+			return i
 		}
-		for _, mine := range writes {
-			if mine.key == w.key {
-				return true
-			}
+		if _, ok := rs.rels[w.rel]; ok {
+			return i
+		}
+		if _, ok := rs.preds[w.pred]; ok {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // commitIntent is a transaction's write set prepared for the sharded

@@ -845,7 +845,8 @@ func (s *Server) catchUpShard(sess *session, i int) bool {
 // before ours on a lane we touched published its lane records (and its
 // effects) before we validated or applied there.
 //
-// The session's replica must already contain exactly ops on top of its
+// ops is the transaction's net write set (db.DeltaSince), never empty. The
+// session's replica must already contain exactly ops on top of its
 // per-lane positions; on success it is caught up to the new head in place.
 func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error) {
 	started := time.Now()
@@ -881,12 +882,7 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 		if from < sh.floor {
 			// History needed for validation was pruned: conservatively abort.
 			sh.mu.Unlock()
-			s.stats.conflicts.Add(1)
-			s.stats.conflictStale.Add(1)
-			if clk != nil {
-				clk.conflict = "stale_replica"
-			}
-			return 0, errConflict
+			return 0, s.lostStale(clk)
 		}
 		views[i] = sh.suffixLocked(from)
 		snaps[i] = sh.version.Load()
@@ -896,13 +892,8 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	// Stage 1b: validate against committed history without any lock.
 	for i := range views {
 		for j := range views[i] {
-			if views[i][j].conflictsWith(rs, in.rec.writes) {
-				s.stats.conflicts.Add(1)
-				s.stats.conflictRW.Add(1)
-				if clk != nil {
-					clk.conflict = "read_write"
-				}
-				return 0, errConflict
+			if k := views[i][j].conflictsWith(rs); k >= 0 {
+				return 0, s.lostTo(clk, &views[i][j], k)
 			}
 		}
 	}
@@ -933,23 +924,13 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 			// The lane pruned past us while we validated (MaxLog stranding):
 			// conservatively abort.
 			unlockAll()
-			s.stats.conflicts.Add(1)
-			s.stats.conflictStale.Add(1)
-			if clk != nil {
-				clk.conflict = "stale_replica"
-			}
-			return 0, errConflict
+			return 0, s.lostStale(clk)
 		}
 		delta := sh.suffixLocked(snaps[sh.idx])
 		for j := range delta {
-			if delta[j].conflictsWith(rs, in.rec.writes) {
+			if k := delta[j].conflictsWith(rs); k >= 0 {
 				unlockAll()
-				s.stats.conflicts.Add(1)
-				s.stats.conflictRW.Add(1)
-				if clk != nil {
-					clk.conflict = "read_write"
-				}
-				return 0, errConflict
+				return 0, s.lostTo(clk, &delta[j], k)
 			}
 		}
 		deltas[sh.idx] = delta
@@ -958,18 +939,11 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 		clk.mark(stageValidate) // delta re-checks accumulate onto validate
 	}
 
-	// Apply to the write lanes' heads in original op order, collecting the
-	// effective ops (set-semantic no-ops are neither applied nor logged —
-	// the same filtering the attached store used to do).
-	var effective []db.Op
-	if s.store != nil {
-		effective = make([]db.Op, 0, len(ops))
-	}
+	// Apply to the write lanes' heads. Every op takes effect: the write set
+	// is a net effect, each of its tuples was observed by the read set, and
+	// validation just showed no winner changed the membership of any.
 	for k := range ops {
-		sh := s.shards[in.rec.writes[k].shard]
-		if sh.head.ApplyOne(&ops[k]) && effective != nil {
-			effective = append(effective, ops[k])
-		}
+		s.shards[in.rec.writes[k].shard].head.ApplyOne(&ops[k])
 	}
 	for _, sh := range locked {
 		if in.writeMask&(1<<uint(sh.idx)) != 0 {
@@ -987,7 +961,7 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	if s.store != nil {
 		// The WAL block carries the commit's LSN, so recovery and the
 		// checkpointer can name durable prefixes by commit version.
-		if _, err := s.store.ApplyCommit(effective, lsn); err != nil {
+		if _, err := s.store.ApplyCommit(ops, lsn); err != nil {
 			s.seqMu.Unlock()
 			unlockAll()
 			return 0, err
@@ -995,7 +969,7 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	}
 	s.frozen = s.frozen.ApplyOps(ops)
 	// Retain the version for time travel: the ops are the immutable commit
-	// record's write set, the snapshot is the O(1)-forked frozen head.
+	// record's (net) write set, the snapshot is the O(1)-forked frozen head.
 	// Monotonicity is guaranteed under seqMu, so Append cannot fail.
 	_ = s.hist.Append(lsn, ops, s.frozen)
 	s.version.Store(lsn)
@@ -1072,6 +1046,32 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	s.stats.recordCommitLatency(elapsed)
 	s.stats.observeSLOs(s.stats.sloCommit, elapsed)
 	return lsn, nil
+}
+
+// lostStale counts a validation round lost because a lane's history no
+// longer reaches back to the replica's position.
+func (s *Server) lostStale(clk *stageClock) error {
+	s.stats.conflicts.Add(1)
+	s.stats.conflictStale.Add(1)
+	if clk != nil {
+		clk.conflict, clk.conflictLSN, clk.conflictAtom = "stale_replica", 0, ""
+	}
+	return errConflict
+}
+
+// lostTo counts a validation round lost to the committed record rec, whose
+// k-th write the read set had observed. The keys are fingerprints, so the
+// readable cause is taken from the winner's op: a sampled transaction's
+// wide event names the winner's LSN and that op's atom.
+func (s *Server) lostTo(clk *stageClock, rec *commitRecord, k int) error {
+	s.stats.conflicts.Add(1)
+	s.stats.conflictRW.Add(1)
+	if clk != nil {
+		clk.conflict = "read_write"
+		clk.conflictLSN = rec.version
+		clk.conflictAtom = term.Atom{Pred: rec.ops[k].Pred, Args: rec.ops[k].Row}.String()
+	}
+	return errConflict
 }
 
 // pruneShardLocked drops lane records every live replica has already

@@ -417,6 +417,9 @@ func (sess *session) emitWide(clk *stageClock, req *Request, resp *Response) {
 		TotalUs:    clk.total().Microseconds(),
 		MemoHits:   sess.lastMemoHits,
 		MemoMisses: sess.lastMemoMisses,
+
+		ConflictLSN:  clk.conflictLSN,
+		ConflictAtom: clk.conflictAtom,
 	}
 	for i, d := range clk.dur {
 		if us := d.Microseconds(); us > 0 {
@@ -453,13 +456,14 @@ func (sess *session) attachStageSpans(clk *stageClock) {
 }
 
 // runGoal executes one parsed goal inside the open transaction, recording
-// reads into the transaction's read set.
-func (sess *session) runGoal(g ast.Goal) (*engine.Result, *Response) {
+// reads into the transaction's read set. It returns the goal's net write
+// set beside the result.
+func (sess *session) runGoal(g ast.Goal) (*engine.Result, []db.Op, *Response) {
 	began := time.Now()
 	sess.deadline = began.Add(sess.srv.opts.MaxGoalTime)
 	before := sess.d.Counters()
 	sess.d.SetReadHook(sess.rs.observe)
-	res, _, err := sess.eng.ProveDelta(g, sess.d)
+	res, ops, err := sess.eng.ProveDelta(g, sess.d)
 	sess.d.SetReadHook(nil)
 	if res != nil {
 		sess.addEngineStats(sess.d, res.Stats, before)
@@ -469,20 +473,20 @@ func (sess *session) runGoal(g ast.Goal) (*engine.Result, *Response) {
 		switch {
 		case errors.As(err, &wv) && errors.Is(wv.Cause, errGoalTime):
 			sess.srv.stats.budgetHits.Add(1)
-			return nil, fail(CodeBudget, "goal exceeded wall-clock budget %v", sess.srv.opts.MaxGoalTime)
+			return nil, nil, fail(CodeBudget, "goal exceeded wall-clock budget %v", sess.srv.opts.MaxGoalTime)
 		case errors.Is(err, engine.ErrBudget), errors.Is(err, engine.ErrDepth):
 			sess.srv.stats.budgetHits.Add(1)
-			return nil, fail(CodeBudget, "%v", err)
+			return nil, nil, fail(CodeBudget, "%v", err)
 		default:
-			return nil, fail(CodeInternal, "%v", err)
+			return nil, nil, fail(CodeInternal, "%v", err)
 		}
 	}
 	if !res.Success {
 		sess.srv.stats.noProof.Add(1)
-		return nil, fail(CodeNoProof, "no execution of the goal commits")
+		return nil, nil, fail(CodeNoProof, "no execution of the goal commits")
 	}
 	sess.finishSpans(res.Spans, time.Since(began))
-	return res, nil
+	return res, ops, nil
 }
 
 func (sess *session) parseGoal(src string) (ast.Goal, *Response) {
@@ -513,7 +517,7 @@ func (sess *session) handleRun(req *Request) *Response {
 	if errResp != nil {
 		return errResp
 	}
-	res, errResp := sess.runGoal(g)
+	res, _, errResp := sess.runGoal(g)
 	if errResp != nil {
 		return errResp // goal rolled back; transaction stays open
 	}
@@ -530,8 +534,10 @@ func (sess *session) handleCommit() *Response {
 	sess.clk = sess.beginStageClock()
 	ops := sess.d.DeltaSince(sess.beginMark)
 	if len(ops) == 0 {
-		// Read-only: serializable at its snapshot point, nothing to
-		// validate or log.
+		// Read-only — no update, or updates that cancelled out: the
+		// transaction is the identity on the database, so it is serializable
+		// at its snapshot point with nothing to validate or log.
+		sess.d.ResetTrail()
 		return &Response{OK: true, Version: sess.version}
 	}
 	version, err := sess.srv.commit(sess, sess.rs, ops)
@@ -584,7 +590,7 @@ func (sess *session) handleExec(req *Request) *Response {
 		sess.srv.stats.txnsBegun.Add(1)
 		sess.rs = sess.freshReadSet()
 		mark := sess.d.Mark()
-		res, errResp := sess.runGoal(g)
+		res, ops, errResp := sess.runGoal(g)
 		// Replica sync and proof search both charge to prove; retries
 		// accumulate (attempt N's proof time adds to attempt N-1's).
 		if clk := sess.clk; clk != nil {
@@ -594,9 +600,10 @@ func (sess *session) handleExec(req *Request) *Response {
 			sess.srv.stats.aborts.Add(1)
 			return errResp
 		}
-		ops := sess.d.DeltaSince(mark)
 		if len(ops) == 0 {
-			// Read-only: serializable at its snapshot point.
+			// Read-only (an empty net effect): serializable at its snapshot
+			// point.
+			sess.d.ResetTrail()
 			return &Response{OK: true, Version: sess.version, Retries: attempt, Bindings: bindingsWire(res.Bindings)}
 		}
 		version, err := sess.srv.commit(sess, sess.rs, ops)

@@ -46,10 +46,15 @@ type stageClock struct {
 
 	// Commit-path facts recorded along the way (wide-event payload).
 	lanes      uint64 // mask of commit lanes touched
-	ops        int    // write-set size
+	ops        int    // write-set size (net ops)
 	crossShard bool
 	conflict   string // cause of the last OCC round lost before success
 	batch      int64  // commits covered by the fsync that acknowledged us
+
+	// For a read_write loss: the winner's LSN and the atom of its op that
+	// the read set had observed.
+	conflictLSN  uint64
+	conflictAtom string
 }
 
 // reset rearms the clock for a new transaction.

@@ -231,7 +231,9 @@ func TestWideEvents(t *testing.T) {
 	}
 }
 
-// A losing COMMIT's wide event names the cause of the lost OCC round.
+// A losing COMMIT's wide event names the cause of the lost OCC round and,
+// conflict keys being fingerprints, says why in the winner's terms: its LSN
+// and the atom of its op that the loser had observed.
 func TestWideEventConflictCause(t *testing.T) {
 	sink := &captureSink{}
 	s := newBankServer(t, Options{WideSink: sink})
@@ -248,7 +250,8 @@ func TestWideEventConflictCause(t *testing.T) {
 	if _, err := c1.Run("withdraw(10, a)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Exec("withdraw(20, a)"); err != nil {
+	won, err := c2.Exec("withdraw(20, a)")
+	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	if _, err := c1.Commit(); !IsConflict(err) {
@@ -273,6 +276,15 @@ func TestWideEventConflictCause(t *testing.T) {
 	}
 	if lost.LSN != 0 {
 		t.Errorf("losing COMMIT stamped LSN %d, want none", lost.LSN)
+	}
+	if lost.ConflictLSN != won.Version || lost.ConflictAtom != "account(a, 100)" {
+		t.Errorf("lost to %d:%s, want %d:account(a, 100) (the winner's delete of the balance both read)",
+			lost.ConflictLSN, lost.ConflictAtom, won.Version)
+	}
+	for _, ev := range sink.events() {
+		if ev.Verb == OpExec && (ev.ConflictLSN != 0 || ev.ConflictAtom != "") {
+			t.Errorf("winning EXEC carries a conflict cause: %+v", ev)
+		}
 	}
 }
 

@@ -156,8 +156,9 @@ func appendIntID(buf []byte, v int64) uint32 {
 
 // AppendKey appends the fixed 8-byte little-endian code of each ground term
 // to dst and returns the extended slice. The result is an injective binary
-// key for the tuple: the in-memory analogue of KeyOf, built without any
-// per-term string work. Distinct tuples of the same arity always produce
+// key for the tuple: the in-memory analogue of KeyOf (which stays the
+// encoding for anything written to disk), built without any per-term string
+// work. Distinct tuples of the same arity always produce
 // distinct keys. Panics on variables.
 func AppendKey(dst []byte, ts []Term) []byte {
 	for _, t := range ts {

@@ -192,7 +192,16 @@ func (t Term) key(b *strings.Builder) {
 }
 
 // KeyOf returns a canonical string encoding of a sequence of ground terms.
-// Distinct tuples always map to distinct keys.
+// Distinct tuples always map to distinct keys, and DecodeKey inverts it.
+//
+// It is the portable tuple encoding: the one to use for bytes that outlive
+// the process — WAL op records, snapshot rows, and the frozen view
+// (db.FrozenDB) that streams those rows to disk — because it depends on
+// nothing but the terms themselves. Everything that lives and dies with the
+// process keys tuples by interned codes instead (AppendKey for storage, the
+// fingerprints db folds from Code for conflict detection and tabling): a
+// code is 8 bytes and costs no string, but names a symbol only within the
+// process that interned it. Do not add per-read or per-step callers here.
 func KeyOf(ts []Term) string {
 	var b strings.Builder
 	for _, t := range ts {
