@@ -29,7 +29,7 @@ check: vet
 	$(GO) test ./...
 	$(GO) test -race ./internal/server ./internal/db ./internal/term ./internal/obs ./internal/history
 	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestLabFlowSerializabilityHammer|TestMemoTableHammer' ./internal/server ./internal/engine
-	$(GO) test -race -count=2 -run 'TestCheckpoint|TestWALv1|TestASOF|TestPersistentLSNs|TestCommitsFlowDuringCheckpoint' ./internal/db ./internal/server
+	$(GO) test -race -count=2 -run 'TestCheckpoint|TestASOF|TestPersistentLSNs|TestCommitsFlowDuringCheckpoint' ./internal/db ./internal/server
 
 cover:
 	$(GO) test -short -cover ./...
@@ -57,7 +57,7 @@ cover:
 # leaves a truncated artifact (the PR 8 recording died mid-pipe and left
 # an empty file; the old `> tmp && mv` chain could not survive a failed
 # producer).
-N ?= 13
+N ?= 14
 BENCH := BENCH_PR$(N).json
 BENCH_PREV := BENCH_PR$(shell expr $(N) - 1).json
 

@@ -185,33 +185,3 @@ func TestDumpWideConflictCause(t *testing.T) {
 		t.Errorf("a round lost to pruned history names a winner:\n%s", out.String())
 	}
 }
-
-// A v1 WAL (pre-PR-6 framing, no commit boundaries) stays dumpable.
-func TestDumpWALv1(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "v1.wal")
-	// Craft the legacy file: v1 magic followed by raw op records.
-	f, err := os.Create(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("TDWAL1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(db.EncodeWALRecord(true, "p", 1, term.KeyOf([]term.Term{term.NewInt(7)}))); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	if err := dumpWAL(&out, wal); err != nil {
-		t.Fatalf("dumpWAL: %v", err)
-	}
-	for _, want := range []string{"ins p(7)", "wal: v1 framing, 1 op record(s), 0 commit boundaries"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("v1 dump missing %q:\n%s", want, out.String())
-		}
-	}
-}

@@ -26,7 +26,7 @@
 // Operator modes (no program argument; see docs/PERSISTENCE.md and
 // docs/OBSERVABILITY.md):
 //
-//	-wal file       dump a server write-ahead log (v1 or v2 framing)
+//	-wal file       dump a server write-ahead log
 //	-manifest file  dump a snapshot's manifest (format, LSN, record count)
 //	-wide file      tabulate the wide events in a server -obs.jsonl file
 package main
@@ -253,13 +253,11 @@ func run(path, goalSrc string, opt options) error {
 }
 
 // dumpWAL prints a server write-ahead log entry by entry: operations with
-// their decoded atoms, commit boundaries with their LSNs. Both the legacy
-// v1 framing (no boundaries) and the current v2 framing are readable; a
-// torn or corrupt tail ends the dump cleanly, mirroring what recovery
-// would replay.
+// their decoded atoms, commit boundaries with their LSNs. A torn or corrupt
+// tail ends the dump cleanly, mirroring what recovery would replay.
 func dumpWAL(w io.Writer, path string) error {
 	ops, commits := 0, 0
-	version, err := db.ScanWAL(path, func(e db.WALEntry) bool {
+	err := db.ScanWAL(path, func(e db.WALEntry) bool {
 		if e.Boundary {
 			commits++
 			fmt.Fprintf(w, "commit lsn=%d\n", e.LSN)
@@ -281,8 +279,8 @@ func dumpWAL(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "wal: v%d framing, %d op record(s), %d commit boundar%s\n",
-		version, ops, commits, map[bool]string{true: "y", false: "ies"}[commits == 1])
+	fmt.Fprintf(w, "wal: v2 framing, %d op record(s), %d commit boundar%s\n",
+		ops, commits, map[bool]string{true: "y", false: "ies"}[commits == 1])
 	return nil
 }
 
@@ -377,8 +375,7 @@ func dumpWide(w io.Writer, path string) error {
 	return nil
 }
 
-// dumpManifest prints a snapshot's manifest (v1 snapshots predate
-// manifests and are scanned to count records, reporting LSN 0).
+// dumpManifest prints a snapshot's manifest.
 func dumpManifest(w io.Writer, path string) error {
 	man, err := db.ReadManifest(path)
 	if err != nil {

@@ -52,6 +52,15 @@ func TestRunCheckSafety(t *testing.T) {
 	if err := run(bad, "", options{check: true}); err == nil {
 		t.Fatal("-check accepted an unsafe program")
 	}
+	// A builtin at the wrong arity is tdvet's arity lint, not a crash: the
+	// safety view reads eq/1 like any builtin, and X is bound by the head.
+	arity := filepath.Join(dir, "arity.td")
+	if err := os.WriteFile(arity, []byte("p(X) :- eq(X).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(arity, "", options{check: true}); err != nil {
+		t.Fatalf("-check on eq/1: %v", err)
+	}
 }
 
 func TestRunAllSolutions(t *testing.T) {

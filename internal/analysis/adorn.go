@@ -16,11 +16,8 @@ import (
 // head is reachable with; the engine picks the variant matching the
 // runtime groundness of the call's arguments.
 //
-// Propagation mirrors passSafety's left-to-right sideways information
-// passing: a variable is bound if it occurs in a head position the
-// adornment marks 'b', in an earlier query or call of the same sequence,
-// or as an arithmetic output. Concurrent branches only see bindings made
-// before the composition (interleaving order is not statically known).
+// Propagation is walkBound's left-to-right sideways information passing,
+// seeded with the head positions the adornment marks 'b'.
 
 // maxAdornments caps the binding patterns tracked per predicate. Programs
 // that exceed it keep their first-discovered patterns (the worklist is
@@ -97,8 +94,8 @@ type adornWork struct {
 // the all-bound pattern for every derived predicate: the server's EXEC
 // goals and the engine's Prove entry points take arbitrary, typically
 // ground, goals, so the fully bound pattern is always live.
-func (v *vetter) adornments() map[predKey]*adornSet {
-	sets := make(map[predKey]*adornSet, len(v.nodes))
+func (f *Facts) adornments() map[predKey]*adornSet {
+	sets := make(map[predKey]*adornSet, len(f.nodes))
 	var queue []adornWork
 	push := func(k predKey, ad string) {
 		s := sets[k]
@@ -110,85 +107,29 @@ func (v *vetter) adornments() map[predKey]*adornSet {
 			queue = append(queue, adornWork{pred: k, ad: ad})
 		}
 	}
-	emit := func(k predKey, ad string) {
-		if v.derived[k] {
-			push(k, ad)
-		}
+	// propagate emits the adornment of every call to a derived predicate
+	// in g at the moment the scan reaches it.
+	propagate := func(g ast.Goal, bound varset) {
+		walkBound(g, bound, func(g ast.Goal, bound varset) {
+			if l, ok := g.(*ast.Lit); ok && l.Op == ast.OpCall {
+				if k := litKey(l.Atom); f.derived[k] {
+					push(k, adornOf(l.Atom.Args, bound))
+				}
+			}
+		})
 	}
-	for _, k := range v.nodes {
+	for _, k := range f.nodes {
 		push(k, allBound(k.arity))
 	}
-	for _, q := range v.prog.Queries {
-		v.adornGoal(q, varset{}, emit)
+	for _, q := range f.prog.Queries {
+		propagate(q, varset{})
 	}
 	for len(queue) > 0 {
 		w := queue[0]
 		queue = queue[1:]
-		for _, r := range v.prog.Rules {
-			if litKey(r.Head) != w.pred {
-				continue
-			}
-			v.adornGoal(r.Body, boundPositions(r.Head, w.ad), emit)
+		for _, r := range f.prog.RulesFor(w.pred.pred, w.pred.arity) {
+			propagate(r.Body, boundPositions(r.Head, w.ad))
 		}
 	}
 	return sets
-}
-
-// adornGoal scans g left to right, maintaining the bound-variable set the
-// way passSafety does (queries and calls bind their arguments, arithmetic
-// binds its output, eq binds both sides) and emitting the adornment of
-// every call to a derived predicate at the moment it is reached.
-func (v *vetter) adornGoal(g ast.Goal, bound varset, emit func(predKey, string)) {
-	switch g := g.(type) {
-	case *ast.Lit:
-		if g.Op == ast.OpCall && ast.IsBuiltinName(g.Atom.Pred) {
-			adornBuiltin(g.Atom.Pred, g.Atom.Args, bound)
-			return
-		}
-		switch g.Op {
-		case ast.OpCall:
-			if k := litKey(g.Atom); v.derived[k] {
-				emit(k, adornOf(g.Atom.Args, bound))
-			}
-			fallthrough
-		case ast.OpQuery:
-			for _, t := range g.Atom.Args {
-				bound.add(t)
-			}
-		}
-		// ins/del require ground arguments and bind nothing.
-	case *ast.Builtin:
-		adornBuiltin(g.Name, g.Args, bound)
-	case *ast.Seq:
-		for _, sub := range g.Goals {
-			v.adornGoal(sub, bound, emit)
-		}
-	case *ast.Conc:
-		after := bound.clone()
-		for _, sub := range g.Goals {
-			branch := bound.clone()
-			v.adornGoal(sub, branch, emit)
-			for k := range branch {
-				after[k] = true
-			}
-		}
-		for k := range after {
-			bound[k] = true
-		}
-	case *ast.Iso:
-		v.adornGoal(g.Body, bound, emit)
-	}
-}
-
-// adornBuiltin applies a builtin's binding effect to bound, mirroring
-// safeBuiltin without the diagnostics.
-func adornBuiltin(name string, args []term.Term, bound varset) {
-	if name == "eq" && len(args) == 2 {
-		bound.add(args[0])
-		bound.add(args[1])
-		return
-	}
-	if isArith(name) && len(args) == 3 {
-		bound.add(args[2])
-	}
 }

@@ -1,16 +1,28 @@
-// Package analysis implements tdvet: a position-aware, multi-pass static
-// analyzer for Transaction Datalog programs. Where internal/fragments
-// classifies a whole program into one of the paper's complexity fragments,
-// tdvet reports clause- and literal-granular diagnostics: which exact
-// literal makes a rule unsafe, which call closes a recursion cycle under
-// "|" (the feature that buys RE-completeness, Theorem 4.4), which clause
-// can never commit.
+// Package analysis is the static analysis of Transaction Datalog programs.
+// Analyze computes one facts layer per program (facts.go: predicate table,
+// call graph, SCCs with their recursion class, recursive-call placement,
+// left-to-right boundness) and every surface is a fold over it:
+//
+//   - Classify / ClassifyGoal (classify.go) place the whole program in one
+//     of the paper's complexity fragments; CheckSafety lists unsafe rules;
+//   - Vet (tdvet, passes.go) reports clause- and literal-granular
+//     diagnostics: which exact literal makes a rule unsafe, which call
+//     closes a recursion cycle under "|" (the feature that buys
+//     RE-completeness, Theorem 4.4), which clause can never commit;
+//   - Plan (tdplan, plan.go and adorn.go) computes adornments, literal
+//     reorders and tabling-safety certificates;
+//   - ReachesRecursion is the engine's path-cycle-check gate.
 //
 // Diagnostics carry a source position, a severity, a stable lint ID usable
 // in "% tdvet:ignore" suppression pragmas, and a one-line pointer into the
 // paper where the lint's rationale lives. The same Report is surfaced by
 // the cmd/tdvet CLI, by engine load-time validation (engine.Options.Vet),
 // and by the server's VET protocol verb.
+//
+// internal/datalog's magic-sets rewrite keeps its own b/f adornment: it
+// works on the flat datalog.Rule representation of the baseline evaluator
+// that tests use as an oracle, and sharing would make walkBound branch on
+// its caller.
 package analysis
 
 import (
@@ -20,7 +32,6 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/fragments"
 	"repro/internal/parser"
 )
 
@@ -139,7 +150,7 @@ type Report struct {
 	// Diags holds the surviving diagnostics sorted by position then lint
 	// ID. It includes the program-level fragment info diagnostic.
 	Diags []Diagnostic `json:"diagnostics"`
-	// Fragment is the paper-fragment name from internal/fragments
+	// Fragment is the paper-fragment name Classify assigns
 	// ("sequential TD", "full TD", ...).
 	Fragment string `json:"fragment"`
 	// Complexity is the data-complexity class the fragment implies.
@@ -194,8 +205,11 @@ func (e *VetError) Error() string {
 // program may come from the parser (positions and pragmas populated) or be
 // built programmatically (zero positions; no suppression). Vet never
 // mutates prog and runs no transactions — it is pure load-time analysis.
-func Vet(prog *ast.Program) *Report {
-	v := newVetter(prog)
+func Vet(prog *ast.Program) *Report { return Analyze(prog).Vet() }
+
+// Vet folds the facts into the tdvet report.
+func (f *Facts) Vet() *Report {
+	v := &vetter{Facts: f}
 	v.passSafety()
 	v.passUndefined()
 	v.passUnusedAndDead()
@@ -205,15 +219,12 @@ func Vet(prog *ast.Program) *Report {
 	v.passUnboundedUpdate()
 	v.passNeverCommit()
 
-	frep := fragments.Analyze(prog)
-	rep := &Report{
-		Fragment:   frep.Fragment.String(),
-		Complexity: frep.Fragment.Complexity(),
-	}
+	frag := f.Classify().Fragment
+	rep := &Report{Fragment: frag.String(), Complexity: frag.Complexity()}
 	v.diag(ast.Pos{Line: 1, Col: 1}, SevInfo, LintFragment,
-		fmt.Sprintf("program is %s; data complexity: %s", frep.Fragment, frep.Fragment.Complexity()), "")
+		fmt.Sprintf("program is %s; data complexity: %s", frag, frag.Complexity()), "")
 
-	rep.Diags, rep.Suppressed = applyPragmas(v.diags, prog.Pragmas)
+	rep.Diags, rep.Suppressed = applyPragmas(v.diags, f.prog.Pragmas)
 	sort.SliceStable(rep.Diags, func(i, j int) bool {
 		a, b := rep.Diags[i], rep.Diags[j]
 		if a.Line != b.Line {

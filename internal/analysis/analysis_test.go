@@ -8,9 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/fragments"
-	"repro/internal/machine"
-	"repro/internal/parser"
 	"repro/internal/term"
 )
 
@@ -174,65 +171,6 @@ func corpusFiles(t *testing.T) []string {
 		t.Fatal("no corpus programs found")
 	}
 	return files
-}
-
-// TestFragmentCrossCheck asserts that the fragment verdict tdvet reports
-// (both the Report field and the info diagnostic) agrees with
-// internal/fragments on every corpus program and on the machine package's
-// generated encodings — the programs deliberately built to sit at known
-// rungs of the complexity ladder.
-func TestFragmentCrossCheck(t *testing.T) {
-	check := func(t *testing.T, name, src string) {
-		t.Helper()
-		prog, err := parser.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
-		}
-		want := fragments.Analyze(prog)
-		rep := Vet(prog)
-		if rep.Fragment != want.Fragment.String() {
-			t.Errorf("%s: tdvet fragment %q, fragments package says %q", name, rep.Fragment, want.Fragment)
-		}
-		if rep.Complexity != want.Fragment.Complexity() {
-			t.Errorf("%s: tdvet complexity %q, fragments package says %q", name, rep.Complexity, want.Fragment.Complexity())
-		}
-		infos := findDiags(rep, LintFragment)
-		if len(infos) != 1 {
-			t.Fatalf("%s: got %d fragment info diagnostics, want exactly 1", name, len(infos))
-		}
-		if !strings.Contains(infos[0].Msg, want.Fragment.String()) {
-			t.Errorf("%s: info diagnostic %q does not name fragment %q", name, infos[0].Msg, want.Fragment)
-		}
-	}
-
-	for _, file := range corpusFiles(t) {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(filepath.Base(file), func(t *testing.T) { check(t, file, string(src)) })
-	}
-
-	machines := map[string]*machine.Machine{
-		"parity":  machine.Parity(),
-		"dyck":    machine.Dyck(),
-		"copy":    machine.Copy(),
-		"diverge": machine.Diverge(),
-	}
-	two, err := machine.TMAnBn().ToTwoStack()
-	if err != nil {
-		t.Fatalf("TMAnBn.ToTwoStack: %v", err)
-	}
-	machines["tm-anbn"] = two
-	for name, m := range machines {
-		t.Run("machine/"+name, func(t *testing.T) {
-			src, _, err := machine.Source(m, []string{"a", "b"})
-			if err != nil {
-				t.Fatalf("Source: %v", err)
-			}
-			check(t, name, src)
-		})
-	}
 }
 
 // TestPragmaSuppression exercises the two pragma placements and the

@@ -1,9 +1,9 @@
-package fragments_test
+package analysis_test
 
 import (
 	"fmt"
 
-	"repro/internal/fragments"
+	"repro/internal/analysis"
 	"repro/internal/parser"
 )
 
@@ -28,7 +28,7 @@ func ExampleAnalyze() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Println(fragments.Analyze(prog).Fragment)
+		fmt.Println(analysis.Analyze(prog).Classify().Fragment)
 	}
 	// Output:
 	// nonrecursive TD

@@ -18,130 +18,41 @@ const (
 	citePlan     = "Section 2: read-only queries commute within a sequential conjunction"
 )
 
+// vetter is one Vet (or Plan) run over a Facts value: the facts it folds
+// over and the diagnostics it accumulates.
+type vetter struct {
+	*Facts
+	diags []Diagnostic
+}
+
+// diag appends a diagnostic, clamping the position so every diagnostic
+// carries a valid 1-based location even for programmatically built
+// programs whose nodes have the zero Pos.
+func (v *vetter) diag(pos ast.Pos, sev Severity, id, msg, cite string) {
+	line, col := pos.Line, pos.Col
+	if line < 1 {
+		line, col = 1, 1
+	}
+	if col < 1 {
+		col = 1
+	}
+	v.diags = append(v.diags, Diagnostic{Line: line, Col: col, Sev: sev, ID: id, Msg: msg, Cite: cite})
+}
+
 // ---------------------------------------------------------------- safety --
 
-// varset tracks variables known bound at the current point of a
-// left-to-right scan (sideways information passing).
-type varset map[int64]bool
-
-func (s varset) add(t term.Term) {
-	if t.IsVar() {
-		s[t.VarID()] = true
-	}
-}
-
-func (s varset) has(t term.Term) bool { return !t.IsVar() || s[t.VarID()] }
-
-func (s varset) clone() varset {
-	out := make(varset, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
-// passSafety is the position-aware counterpart of ast.CheckSafety: scan
-// each body left to right; a variable is bound if it occurred in the rule
-// head, an earlier query/call, or an arithmetic output. Updates and
-// builtin inputs reached with a possibly-unbound variable are errors.
-// Concurrent branches only see bindings made before the composition.
+// passSafety anchors every finding of the boundness scan (Facts.unsafe) to
+// its literal: updates and builtin inputs reached with a possibly-unbound
+// variable are errors.
 func (v *vetter) passSafety() {
-	for _, r := range v.prog.Rules {
-		bound := varset{}
-		for _, t := range r.Head.Vars(nil) {
-			bound.add(t)
+	v.unsafe(func(_ int, at ast.Goal, problem string) {
+		switch at := at.(type) {
+		case *ast.Lit:
+			v.diag(at.Pos, SevError, LintSafety, problem+"; bind it with an earlier query in the sequence", citeSafety)
+		case *ast.Builtin:
+			v.diag(at.Pos, SevError, LintSafety, problem, citeSafety)
 		}
-		v.safeGoal(r.Body, bound)
-	}
-	for _, q := range v.prog.Queries {
-		v.safeGoal(q, varset{})
-	}
-}
-
-func (v *vetter) safeGoal(g ast.Goal, bound varset) {
-	switch g := g.(type) {
-	case *ast.Lit:
-		if g.Op == ast.OpCall && ast.IsBuiltinName(g.Atom.Pred) {
-			// Un-analyzed program: builtin still in call form.
-			v.safeBuiltin(&ast.Builtin{Name: g.Atom.Pred, Args: g.Atom.Args, Pos: g.Pos}, bound)
-			return
-		}
-		switch g.Op {
-		case ast.OpQuery, ast.OpCall:
-			// Queries bind by matching tuples; calls are assumed to bind
-			// (the engine's runtime groundness check backstops).
-			for _, t := range g.Atom.Args {
-				bound.add(t)
-			}
-		case ast.OpIns, ast.OpDel:
-			for _, t := range g.Atom.Args {
-				if !bound.has(t) {
-					v.diag(g.Pos, SevError, LintSafety,
-						fmt.Sprintf("variable %s may be unbound at %s; bind it with an earlier query in the sequence", t, g),
-						citeSafety)
-				}
-			}
-		}
-	case *ast.Builtin:
-		v.safeBuiltin(g, bound)
-	case *ast.Seq:
-		for _, sub := range g.Goals {
-			v.safeGoal(sub, bound)
-		}
-	case *ast.Conc:
-		// Interleaving order is not statically known: a binding made in a
-		// sibling branch cannot be relied on. After the composition all
-		// branches have succeeded, so all their bindings hold.
-		after := bound.clone()
-		for _, sub := range g.Goals {
-			branch := bound.clone()
-			v.safeGoal(sub, branch)
-			for k := range branch {
-				after[k] = true
-			}
-		}
-		for k := range after {
-			bound[k] = true
-		}
-	case *ast.Iso:
-		v.safeGoal(g.Body, bound)
-	}
-}
-
-func (v *vetter) safeBuiltin(b *ast.Builtin, bound varset) {
-	if b.Name == "eq" && len(b.Args) == 2 {
-		// eq can bind either side; at least one side must be bound.
-		if !bound.has(b.Args[0]) && !bound.has(b.Args[1]) {
-			v.diag(b.Pos, SevError, LintSafety,
-				fmt.Sprintf("both sides of %s may be unbound", b), citeSafety)
-		}
-		bound.add(b.Args[0])
-		bound.add(b.Args[1])
-		return
-	}
-	inputs := b.Args
-	var output *term.Term
-	if isArith(b.Name) && len(b.Args) == 3 {
-		inputs = b.Args[:2]
-		output = &b.Args[2]
-	}
-	for _, t := range inputs {
-		if !bound.has(t) {
-			v.diag(b.Pos, SevError, LintSafety,
-				fmt.Sprintf("variable %s may be unbound at builtin %s", t, b), citeSafety)
-		}
-	}
-	if output != nil {
-		bound.add(*output)
-	}
-}
-
-func isArith(name string) bool {
-	switch name {
-	case "add", "sub", "mul", "div", "mod":
-		return true
-	}
-	return false
+	})
 }
 
 // ------------------------------------------------------- undefined-pred --
@@ -199,32 +110,27 @@ func (v *vetter) passUnusedAndDead() {
 	for _, r := range v.prog.Rules {
 		note(r.Body)
 	}
-	// Reachability: BFS over the call graph from the predicates the ?-
-	// queries invoke.
+	// Reachability over the call graph from the predicates the ?- queries
+	// invoke.
 	reach := make([]bool, len(v.nodes))
-	var queue []int
 	for _, q := range v.prog.Queries {
 		note(q)
 		ast.Walk(q, func(sub ast.Goal) bool {
 			if l, ok := sub.(*ast.Lit); ok {
-				if idx, ok := v.nodeIdx[litKey(l.Atom)]; ok && !reach[idx] {
+				if idx, ok := v.nodeIdx[litKey(l.Atom)]; ok {
 					reach[idx] = true
-					queue = append(queue, idx)
 				}
 			}
 			return true
 		})
 	}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, w := range v.edges[x] {
-			if !reach[w] {
-				reach[w] = true
-				queue = append(queue, w)
-			}
+	v.fixpoint(func(from, to int) bool {
+		if reach[from] && !reach[to] {
+			reach[to] = true
+			return true
 		}
-	}
+		return false
+	})
 	reported := make(map[predKey]bool)
 	for _, r := range v.prog.Rules {
 		k := litKey(r.Head)
@@ -340,33 +246,13 @@ func (v *vetter) passUpdateDerived() {
 // fresh concurrent process, so the process count is unbounded by the goal
 // and committing becomes undecidable.
 func (v *vetter) passRecursionUnderConc() {
-	for _, r := range v.prog.Rules {
-		from := v.nodeIdx[litKey(r.Head)]
-		if !v.inCycle[from] {
-			continue
-		}
-		v.scanConcRecursion(from, litKey(r.Head), r.Body, false)
-	}
-}
-
-func (v *vetter) scanConcRecursion(from int, head predKey, g ast.Goal, underConc bool) {
-	switch g := g.(type) {
-	case *ast.Lit:
-		if underConc && v.isRecursiveCall(from, g) {
-			v.diag(g.Pos, SevError, LintRecursionConc,
-				fmt.Sprintf("recursive call to %s under '|' in clause %s: each iteration may spawn a new concurrent process", litKey(g.Atom), head),
+	for _, c := range v.recCalls {
+		if c.underConc {
+			v.diag(c.lit.Pos, SevError, LintRecursionConc,
+				fmt.Sprintf("recursive call to %s under '|' in clause %s: each iteration may spawn a new concurrent process",
+					litKey(c.lit.Atom), litKey(v.prog.Rules[c.rule].Head)),
 				citeRecConc)
 		}
-	case *ast.Seq:
-		for _, sub := range g.Goals {
-			v.scanConcRecursion(from, head, sub, underConc)
-		}
-	case *ast.Conc:
-		for _, sub := range g.Goals {
-			v.scanConcRecursion(from, head, sub, true)
-		}
-	case *ast.Iso:
-		v.scanConcRecursion(from, head, g.Body, underConc)
 	}
 }
 
@@ -379,11 +265,13 @@ func (v *vetter) scanConcRecursion(from int, head predKey, g ast.Goal, underConc
 // the total update count is not bounded by the goal: the program falls
 // out of the fully bounded fragment.
 func (v *vetter) passUnboundedUpdate() {
-	for _, r := range v.prog.Rules {
-		from := v.nodeIdx[litKey(r.Head)]
-		if !v.inCycle[from] || !v.hasNonTailRecursion(from, r.Body, true) {
+	last := -1
+	for _, c := range v.recCalls {
+		if c.tail || c.rule == last {
 			continue
 		}
+		last = c.rule
+		r := v.prog.Rules[c.rule]
 		head := litKey(r.Head)
 		ast.Walk(r.Body, func(sub ast.Goal) bool {
 			if l, ok := sub.(*ast.Lit); ok && (l.Op == ast.OpIns || l.Op == ast.OpDel) {
@@ -394,31 +282,6 @@ func (v *vetter) passUnboundedUpdate() {
 			return true
 		})
 	}
-}
-
-// hasNonTailRecursion reports whether the body contains an intra-SCC
-// recursive call outside sequential tail position (mirroring the
-// placement analysis in internal/fragments).
-func (v *vetter) hasNonTailRecursion(from int, g ast.Goal, tail bool) bool {
-	switch g := g.(type) {
-	case *ast.Lit:
-		return !tail && v.isRecursiveCall(from, g)
-	case *ast.Seq:
-		for i, sub := range g.Goals {
-			if v.hasNonTailRecursion(from, sub, tail && i == len(g.Goals)-1) {
-				return true
-			}
-		}
-	case *ast.Conc:
-		for _, sub := range g.Goals {
-			if v.hasNonTailRecursion(from, sub, false) {
-				return true
-			}
-		}
-	case *ast.Iso:
-		return v.hasNonTailRecursion(from, g.Body, false)
-	}
-	return false
 }
 
 // ---------------------------------------------------------- never-commit --

@@ -31,17 +31,6 @@ import (
 // tooling.
 const PlanSchemaVersion = 1
 
-// Recursion classes in a tabling certificate, from most benign to least:
-// no recursion, sequential tail recursion (iteration), non-tail recursion
-// (stacked descents), and recursion through '|' (unbounded process
-// creation, Theorem 4.4 — never tabling-eligible).
-const (
-	RecNone    = "none"
-	RecTail    = "tail"
-	RecNonTail = "nontail"
-	RecConc    = "conc"
-)
-
 // PlanReport is the result of planning one program.
 type PlanReport struct {
 	SchemaVersion int `json:"schema_version"`
@@ -128,14 +117,15 @@ func (r *PlanReport) Variants() []PlanVariant { return r.variants }
 
 // Plan runs the tdplan analyses over prog and returns the report. Like
 // Vet, it never mutates prog and runs no transactions.
-func Plan(prog *ast.Program) *PlanReport {
-	p := &planner{vetter: newVetter(prog)}
+func Plan(prog *ast.Program) *PlanReport { return Analyze(prog).Plan() }
+
+// Plan folds the facts into the tdplan report.
+func (f *Facts) Plan() *PlanReport {
+	p := &planner{vetter: vetter{Facts: f}, adorn: f.adornments()}
 	p.certify()
-	p.adorn = p.adornments()
 	rep := &PlanReport{SchemaVersion: PlanSchemaVersion}
-	p.reorderAll(rep)
-	p.report(rep)
-	rep.Diags, rep.Suppressed = applyPragmas(p.diags, prog.Pragmas)
+	p.report(rep, p.reorderAll(rep))
+	rep.Diags, rep.Suppressed = applyPragmas(p.diags, f.prog.Pragmas)
 	sort.SliceStable(rep.Diags, func(i, j int) bool {
 		a, b := rep.Diags[i], rep.Diags[j]
 		if a.Line != b.Line {
@@ -159,92 +149,30 @@ func PlanSource(src string) (*PlanReport, error) {
 	return Plan(prog), nil
 }
 
-// planner carries one Plan run: the vetter's predicate tables and call
-// graph, plus the certificate and adornment results.
+// planner carries one Plan run: the facts and diagnostics of a vetter,
+// plus the certificate and adornment results.
 type planner struct {
-	*vetter
-	updateFree []bool // per node: no ins/del reachable
-	isoFree    []bool // per node: no iso reachable
-	recClass   []string
+	vetter
+	updateFree []bool            // per node: no ins/del reachable
+	isoFree    []bool            // per node: no iso reachable
 	support    []map[string]bool // per node: reachable base-relation reads
 	adorn      map[predKey]*adornSet
 }
 
-// certify computes the per-predicate tabling facts: update-freedom and
-// iso-freedom as a reverse-reachability fixpoint over the call graph, and
-// the recursion class per SCC.
+// certify computes the per-predicate tabling facts the call graph does not
+// already carry: update-freedom and iso-freedom (no rule reachable through
+// the call graph contains one), and each predicate's base-relation support
+// set — the stored relations whose content its answers can depend on,
+// transitively through the call graph. Direct reads are base-relation
+// queries, calls to rule-less predicates (the engine evaluates them as
+// queries), and emptiness tests (recorded as a bare predicate name:
+// empty.p observes every arity of p). Update targets are not support
+// entries — a predicate that reaches an update is never tabling-eligible,
+// so its support set is advisory only.
 func (p *planner) certify() {
 	n := len(p.nodes)
 	directUpd := make([]bool, n)
 	directIso := make([]bool, n)
-	for _, r := range p.prog.Rules {
-		idx := p.nodeIdx[litKey(r.Head)]
-		ast.Walk(r.Body, func(sub ast.Goal) bool {
-			switch sub := sub.(type) {
-			case *ast.Lit:
-				if sub.Op == ast.OpIns || sub.Op == ast.OpDel {
-					directUpd[idx] = true
-				}
-			case *ast.Iso:
-				directIso[idx] = true
-			}
-			return true
-		})
-	}
-	fixpoint := func(direct []bool) []bool {
-		free := p.reaching(direct)
-		for i := range free {
-			free[i] = !free[i]
-		}
-		return free
-	}
-	p.updateFree = fixpoint(directUpd)
-	p.isoFree = fixpoint(directIso)
-	p.supportSets()
-
-	// Recursion class is a property of the SCC: one conc-recursive or
-	// non-tail clause anywhere in the cycle taints every member.
-	rank := map[string]int{RecNone: 0, RecTail: 1, RecNonTail: 2, RecConc: 3}
-	sccClass := make(map[int]string)
-	for _, r := range p.prog.Rules {
-		from := p.nodeIdx[litKey(r.Head)]
-		if !p.inCycle[from] {
-			continue
-		}
-		class := RecTail
-		if p.concRecursive(from, r.Body, false) {
-			class = RecConc
-		} else if p.hasNonTailRecursion(from, r.Body, true) {
-			class = RecNonTail
-		}
-		scc := p.sccID[from]
-		if rank[class] > rank[sccClass[scc]] {
-			sccClass[scc] = class
-		}
-	}
-	p.recClass = make([]string, n)
-	for i := range p.recClass {
-		if !p.inCycle[i] {
-			p.recClass[i] = RecNone
-		} else if c := sccClass[p.sccID[i]]; c != "" {
-			p.recClass[i] = c
-		} else {
-			p.recClass[i] = RecTail
-		}
-	}
-}
-
-// supportSets computes each predicate's base-relation support set: the
-// stored relations whose content its answers can depend on, transitively
-// through the call graph. Direct reads are base-relation queries, calls
-// to rule-less predicates (the engine evaluates them as queries), and
-// emptiness tests (recorded as a bare predicate name: empty.p observes
-// every arity of p). Update targets are not support entries — a predicate
-// that reaches an update is never tabling-eligible, so its support set is
-// advisory only. The closure mirrors certify's reverse-reachability
-// fixpoint over the call edges.
-func (p *planner) supportSets() {
-	n := len(p.nodes)
 	p.support = make([]map[string]bool, n)
 	for i := range p.support {
 		p.support[i] = make(map[string]bool)
@@ -254,43 +182,50 @@ func (p *planner) supportSets() {
 		ast.Walk(r.Body, func(sub ast.Goal) bool {
 			switch sub := sub.(type) {
 			case *ast.Lit:
+				k := litKey(sub.Atom)
 				switch sub.Op {
+				case ast.OpIns, ast.OpDel:
+					directUpd[idx] = true
 				case ast.OpQuery:
-					p.support[idx][litKey(sub.Atom).String()] = true
+					p.support[idx][k.String()] = true
 				case ast.OpCall:
-					if ast.IsBuiltinName(sub.Atom.Pred) {
-						break
-					}
-					if !p.derived[litKey(sub.Atom)] {
-						p.support[idx][litKey(sub.Atom).String()] = true
+					if !ast.IsBuiltinName(k.pred) && !p.derived[k] {
+						p.support[idx][k.String()] = true
 					}
 				}
+			case *ast.Iso:
+				directIso[idx] = true
 			case *ast.Empty:
 				p.support[idx][sub.Pred] = true
 			}
 			return true
 		})
 	}
-	for changed := true; changed; {
-		changed = false
-		for from := 0; from < n; from++ {
-			for _, to := range p.edges[from] {
-				for e := range p.support[to] {
-					if !p.support[from][e] {
-						p.support[from][e] = true
-						changed = true
-					}
-				}
+	free := func(direct []bool) []bool {
+		reach := p.reaching(direct)
+		for i := range reach {
+			reach[i] = !reach[i]
+		}
+		return reach
+	}
+	p.updateFree = free(directUpd)
+	p.isoFree = free(directIso)
+	p.fixpoint(func(from, to int) bool {
+		changed := false
+		for e := range p.support[to] {
+			if !p.support[from][e] {
+				p.support[from][e] = true
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 }
 
-// Support resolves a derived predicate's base-relation support set by key,
-// sorted; nil when the predicate is unknown or reads nothing.
-func (p *planner) Support(k predKey) []string {
-	idx, ok := p.nodeIdx[k]
-	if !ok || len(p.support[idx]) == 0 {
+// sortedSupport lists node idx's support set, sorted; nil when the
+// predicate reads nothing.
+func (p *planner) sortedSupport(idx int) []string {
+	if len(p.support[idx]) == 0 {
 		return nil
 	}
 	out := make([]string, 0, len(p.support[idx]))
@@ -299,39 +234,6 @@ func (p *planner) Support(k predKey) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// concRecursive reports whether g contains an intra-SCC recursive call
-// under concurrent composition.
-func (p *planner) concRecursive(from int, g ast.Goal, underConc bool) bool {
-	switch g := g.(type) {
-	case *ast.Lit:
-		return underConc && p.isRecursiveCall(from, g)
-	case *ast.Seq:
-		for _, sub := range g.Goals {
-			if p.concRecursive(from, sub, underConc) {
-				return true
-			}
-		}
-	case *ast.Conc:
-		for _, sub := range g.Goals {
-			if p.concRecursive(from, sub, true) {
-				return true
-			}
-		}
-	case *ast.Iso:
-		return p.concRecursive(from, g.Body, underConc)
-	}
-	return false
-}
-
-// nodeCert resolves a derived predicate's certificate facts by key.
-func (p *planner) nodeCert(k predKey) (updateFree, isoFree bool, class string) {
-	idx, ok := p.nodeIdx[k]
-	if !ok {
-		return false, false, RecNone
-	}
-	return p.updateFree[idx], p.isoFree[idx], p.recClass[idx]
 }
 
 // --------------------------------------------------------- reorder legality --
@@ -371,8 +273,8 @@ const (
 	classCall
 )
 
-// classify buckets one top-level goal of a sequential body.
-func (p *planner) classify(g ast.Goal) litClass {
+// litClassOf buckets one top-level goal of a sequential body.
+func (p *planner) litClassOf(g ast.Goal) litClass {
 	switch g := g.(type) {
 	case *ast.Lit:
 		switch g.Op {
@@ -386,8 +288,7 @@ func (p *planner) classify(g ast.Goal) litClass {
 			if !p.derived[k] {
 				return classQuery
 			}
-			upd, iso, class := p.nodeCert(k)
-			if upd && iso && class == RecNone {
+			if idx := p.nodeIdx[k]; p.updateFree[idx] && p.isoFree[idx] && p.recClass[idx] == RecNone {
 				return classCall
 			}
 			return classBarrier
@@ -407,31 +308,34 @@ func (p *planner) classify(g ast.Goal) litClass {
 // peers (legality rule: non-query goals never pass each other).
 func isOrderedClass(c litClass) bool { return c == classBuiltin || c == classCall }
 
+// builtinOf returns the name and arguments of a builtin goal, in either
+// its resolved (*ast.Builtin) or its call form.
+func builtinOf(g ast.Goal) (name string, args []term.Term, ok bool) {
+	switch g := g.(type) {
+	case *ast.Lit:
+		return g.Atom.Pred, g.Atom.Args, ast.IsBuiltinName(g.Atom.Pred)
+	case *ast.Builtin:
+		return g.Name, g.Args, true
+	}
+	return "", nil, false
+}
+
 // goalNeeds returns the variables of g whose groundness its evaluation
 // relies on: all arguments for comparisons, neq, and movable calls; the
 // two inputs for arithmetic. eq is special-cased by the caller (it needs
 // only one side bound, either one).
 func goalNeeds(g ast.Goal) (vars []term.Term, eqArgs []term.Term) {
-	switch g := g.(type) {
-	case *ast.Lit: // builtin in call form, or a movable call
-		if ast.IsBuiltinName(g.Atom.Pred) {
-			return builtinNeeds(g.Atom.Pred, g.Atom.Args)
+	if name, args, ok := builtinOf(g); ok {
+		in, out, unify := builtinIO(name, args)
+		if unify {
+			return nil, out
 		}
-		return g.Atom.Args, nil
-	case *ast.Builtin:
-		return builtinNeeds(g.Name, g.Args)
+		return in, nil
+	}
+	if l, ok := g.(*ast.Lit); ok { // a movable call
+		return l.Atom.Args, nil
 	}
 	return nil, nil
-}
-
-func builtinNeeds(name string, args []term.Term) (vars []term.Term, eqArgs []term.Term) {
-	if name == "eq" && len(args) == 2 {
-		return nil, args
-	}
-	if isArith(name) && len(args) == 3 {
-		return args[:2], nil
-	}
-	return args, nil
 }
 
 // certainUpdate extends the certainly-bound set with the bindings g is
@@ -448,23 +352,13 @@ func certainUpdate(g ast.Goal, class litClass, cur varset) {
 			}
 		}
 	case classBuiltin:
-		var name string
-		var args []term.Term
-		switch g := g.(type) {
-		case *ast.Lit:
-			name, args = g.Atom.Pred, g.Atom.Args
-		case *ast.Builtin:
-			name, args = g.Name, g.Args
-		}
-		if name == "eq" && len(args) == 2 {
-			if cur.has(args[0]) || cur.has(args[1]) {
-				cur.add(args[0])
-				cur.add(args[1])
-			}
+		name, args, _ := builtinOf(g)
+		_, out, unify := builtinIO(name, args)
+		if unify && !cur.has(out[0]) && !cur.has(out[1]) {
 			return
 		}
-		if isArith(name) && len(args) == 3 {
-			cur.add(args[2])
+		for _, t := range out {
+			cur.add(t)
 		}
 	}
 }
@@ -541,7 +435,7 @@ func (p *planner) reorderBody(r ast.Rule, ad string) []int {
 	n := len(goals)
 	classes := make([]litClass, n)
 	for i, g := range goals {
-		classes[i] = p.classify(g)
+		classes[i] = p.litClassOf(g)
 	}
 	order := make([]int, 0, n)
 	cur := boundPositions(r.Head, ad)
@@ -687,21 +581,25 @@ func adornLabel(ad string) string {
 	return "^" + ad
 }
 
-// reorderAll computes every rule variant and the reorder diagnostics.
-func (p *planner) reorderAll(rep *PlanReport) {
+// reorderAll plans every (rule, adornment) pair once: it collects the rule
+// variants and reorder diagnostics into rep and returns, per predicate, the
+// rules whose body order changed under some adornment.
+func (p *planner) reorderAll(rep *PlanReport) map[predKey][]RulePlan {
+	changed := make(map[predKey][]RulePlan)
 	for _, k := range p.nodes {
 		rules := p.prog.RulesFor(k.pred, k.arity)
-		set := p.adorn[k]
-		if set == nil {
-			continue
+		plans := make([]RulePlan, len(rules))
+		for ri, r := range rules {
+			plans[ri] = RulePlan{Rule: ri, Line: r.Pos.Line}
 		}
-		for _, ad := range set.list {
+		for _, ad := range p.adorn[k].list {
 			var variant []ast.Rule
 			for ri, r := range rules {
 				order := p.reorderBody(r, ad)
 				if order == nil {
 					continue
 				}
+				plans[ri].Orders = append(plans[ri].Orders, OrderPlan{Adornment: ad, Order: order})
 				if variant == nil {
 					variant = make([]ast.Rule, len(rules))
 					copy(variant, rules)
@@ -718,11 +616,17 @@ func (p *planner) reorderAll(rep *PlanReport) {
 				})
 			}
 		}
+		for _, rp := range plans {
+			if len(rp.Orders) > 0 {
+				changed[k] = append(changed[k], rp)
+			}
+		}
 	}
+	return changed
 }
 
 // report assembles the per-predicate certificates, sorted by name/arity.
-func (p *planner) report(rep *PlanReport) {
+func (p *planner) report(rep *PlanReport, changed map[predKey][]RulePlan) {
 	ordered := make([]predKey, len(p.nodes))
 	copy(ordered, p.nodes)
 	sort.Slice(ordered, func(i, j int) bool {
@@ -732,33 +636,18 @@ func (p *planner) report(rep *PlanReport) {
 		return ordered[i].arity < ordered[j].arity
 	})
 	for _, k := range ordered {
-		upd, iso, class := p.nodeCert(k)
-		pp := PredPlan{
+		idx := p.nodeIdx[k]
+		upd, iso, class := p.updateFree[idx], p.isoFree[idx], p.recClass[idx]
+		rep.Predicates = append(rep.Predicates, PredPlan{
 			Pred:             k.String(),
 			Derived:          true,
 			UpdateFree:       upd,
 			HypotheticalFree: iso,
 			Recursion:        class,
 			TablingEligible:  upd && iso && class != RecConc,
-			Support:          p.Support(k),
-		}
-		if set := p.adorn[k]; set != nil {
-			pp.Adornments = append(pp.Adornments, set.list...)
-		}
-		rules := p.prog.RulesFor(k.pred, k.arity)
-		for ri, r := range rules {
-			rp := RulePlan{Rule: ri, Line: r.Pos.Line}
-			if set := p.adorn[k]; set != nil {
-				for _, ad := range set.list {
-					if order := p.reorderBody(r, ad); order != nil {
-						rp.Orders = append(rp.Orders, OrderPlan{Adornment: ad, Order: order})
-					}
-				}
-			}
-			if len(rp.Orders) > 0 {
-				pp.Rules = append(pp.Rules, rp)
-			}
-		}
-		rep.Predicates = append(rep.Predicates, pp)
+			Adornments:       append([]string(nil), p.adorn[k].list...),
+			Support:          p.sortedSupport(idx),
+			Rules:            changed[k],
+		})
 	}
 }

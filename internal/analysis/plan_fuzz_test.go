@@ -25,12 +25,13 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rep := Plan(prog)
+		facts := Analyze(prog)
+		rep := facts.Plan()
 		if rep.SchemaVersion != PlanSchemaVersion {
 			t.Fatalf("schema version %d", rep.SchemaVersion)
 		}
 		// Re-derive the goal classes the reorderer saw.
-		p := &planner{vetter: newVetter(prog)}
+		p := &planner{vetter: vetter{Facts: facts}}
 		p.certify()
 		for _, pp := range rep.Predicates {
 			for _, rp := range pp.Rules {
@@ -74,7 +75,7 @@ func checkOrder(t *testing.T, p *planner, pred string, rp RulePlan, op OrderPlan
 	}
 	classes := make([]litClass, n)
 	for i, g := range seq.Goals {
-		classes[i] = p.classify(g)
+		classes[i] = p.litClassOf(g)
 	}
 	var prevOrdered = -1
 	for k, idx := range op.Order {

@@ -360,137 +360,3 @@ func TestEvalBuiltinErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckSafetyFlagsUnboundUpdates(t *testing.T) {
-	x := term.NewVar("X", 0)
-	p := &Program{
-		Rules: []Rule{
-			{Head: term.NewAtom("bad"), Body: lit(OpIns, "p", x)},
-		},
-	}
-	if err := p.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	issues := CheckSafety(p)
-	if len(issues) != 1 {
-		t.Fatalf("issues = %v", issues)
-	}
-	if issues[0].String() == "" {
-		t.Error("issue renders empty")
-	}
-}
-
-func TestCheckSafetyHeadVarsBound(t *testing.T) {
-	x := term.NewVar("X", 0)
-	p := &Program{
-		Rules: []Rule{
-			{Head: term.NewAtom("ok", x), Body: lit(OpIns, "p", x)},
-		},
-	}
-	if err := p.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if issues := CheckSafety(p); len(issues) != 0 {
-		t.Fatalf("head-bound variable flagged: %v", issues)
-	}
-}
-
-func TestCheckSafetyQueryBinds(t *testing.T) {
-	x := term.NewVar("X", 0)
-	p := &Program{
-		Rules: []Rule{
-			{Head: term.NewAtom("ok"), Body: NewSeq(lit(OpCall, "q", x), lit(OpIns, "p", x))},
-		},
-	}
-	if err := p.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if issues := CheckSafety(p); len(issues) != 0 {
-		t.Fatalf("query-bound variable flagged: %v", issues)
-	}
-}
-
-func TestCheckSafetyConcurrentSiblingsDontBind(t *testing.T) {
-	x := term.NewVar("X", 0)
-	// ins.p(X) runs concurrently with q(X): X may be unbound when the
-	// insertion fires.
-	p := &Program{
-		Rules: []Rule{
-			{Head: term.NewAtom("bad"), Body: NewConc(lit(OpCall, "q", x), lit(OpIns, "p", x))},
-		},
-	}
-	if err := p.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if issues := CheckSafety(p); len(issues) == 0 {
-		t.Fatal("cross-branch binding assumed by safety check")
-	}
-	// But after the concurrent block, bindings from all branches hold.
-	y := term.NewVar("Y", 1)
-	p2 := &Program{
-		Rules: []Rule{
-			{Head: term.NewAtom("ok"), Body: NewSeq(
-				NewConc(lit(OpCall, "q", y), lit(OpCall, "r")),
-				lit(OpIns, "p", y),
-			)},
-		},
-	}
-	if err := p2.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if issues := CheckSafety(p2); len(issues) != 0 {
-		t.Fatalf("post-conc binding not propagated: %v", issues)
-	}
-}
-
-func TestCheckSafetyArithOutput(t *testing.T) {
-	x, z := term.NewVar("X", 0), term.NewVar("Z", 1)
-	p := &Program{
-		Rules: []Rule{
-			{Head: term.NewAtom("ok", x), Body: NewSeq(
-				&Builtin{Name: "add", Args: []term.Term{x, term.NewInt(1), z}},
-				lit(OpIns, "p", z),
-			)},
-			{Head: term.NewAtom("bad", x), Body: NewSeq(
-				&Builtin{Name: "add", Args: []term.Term{x, z, x}},
-			)},
-		},
-	}
-	if err := p.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	issues := CheckSafety(p)
-	if len(issues) != 1 {
-		t.Fatalf("issues = %v, want exactly the unbound input", issues)
-	}
-	if issues[0].Pred != "bad" {
-		t.Fatalf("wrong rule flagged: %v", issues[0])
-	}
-}
-
-func TestCheckGoalSafety(t *testing.T) {
-	x := term.NewVar("X", 0)
-	g := NewSeq(lit(OpIns, "p", x))
-	if issues := CheckGoalSafety(g, nil); len(issues) != 1 {
-		t.Fatalf("issues = %v", issues)
-	}
-	if issues := CheckGoalSafety(g, []term.Term{x}); len(issues) != 0 {
-		t.Fatal("pre-bound variable flagged")
-	}
-}
-
-func TestCheckSafetyEqEitherSide(t *testing.T) {
-	x := term.NewVar("X", 0)
-	g := NewSeq(
-		&Builtin{Name: "eq", Args: []term.Term{x, term.NewInt(5)}},
-		lit(OpIns, "p", x),
-	)
-	if issues := CheckGoalSafety(g, nil); len(issues) != 0 {
-		t.Fatalf("eq-bound variable flagged: %v", issues)
-	}
-	y := term.NewVar("Y", 1)
-	g2 := NewSeq(&Builtin{Name: "eq", Args: []term.Term{x, y}})
-	if issues := CheckGoalSafety(g2, nil); len(issues) == 0 {
-		t.Fatal("eq with both sides unbound not flagged")
-	}
-}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"strings"
@@ -229,58 +230,34 @@ func TestCheckpointCrashWindowsAckedSubsetRecovered(t *testing.T) {
 	}
 }
 
-// A legacy v1 WAL (no commit boundaries) is replayed fully at open and
-// rewritten in the v2 framing, so a later crash can never double-apply its
-// records against a newer snapshot.
-func TestWALv1UpgradeAtOpen(t *testing.T) {
-	snap, wal := tmpPaths(t)
-	f, err := os.Create(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(walMagicV1); err != nil {
-		t.Fatal(err)
-	}
-	for n := int64(1); n <= 5; n++ {
-		if _, err := f.Write(encodeRecord(true, "mark", 1, term.KeyOf(markRow(n)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.Write(encodeRecord(false, "mark", 1, term.KeyOf(markRow(2)))); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenStore(snap, wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.DB.Count("mark", 1); got != 4 {
-		t.Fatalf("v1 replay: %d marks, want 4", got)
-	}
-	if rec := s.Recovery(); rec.ReplayedRecords != 6 {
-		t.Fatalf("ReplayedRecords = %d, want 6", rec.ReplayedRecords)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The file on disk is now v2-framed and boots identically.
-	if v, err := walFileVersion(wal); err != nil || v != 2 {
-		t.Fatalf("post-upgrade WAL version = %d, %v; want 2", v, err)
-	}
-	s2, err := OpenStore(snap, wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.DB.Count("mark", 1); got != 4 {
-		t.Fatalf("post-upgrade reopen: %d marks, want 4", got)
-	}
-	if !containsMark(s2, 1) || containsMark(s2, 2) {
-		t.Fatal("post-upgrade reopen lost the v1 delete")
+// The retired v1 formats fail closed: a v1 WAL or snapshot is refused with
+// ErrCorrupt naming the file, and — unlike a torn tail, which recovery
+// truncates — its bytes are left exactly as they were.
+func TestV1FilesFailClosed(t *testing.T) {
+	rec := encodeRecord(true, "mark", 1, term.KeyOf(markRow(1)))
+	for _, tc := range []struct {
+		name string
+		path func(snap, wal string) string
+		data []byte
+	}{
+		{"wal", func(_, wal string) string { return wal }, append([]byte("TDWAL1\n"), rec...)},
+		{"snapshot", func(snap, _ string) string { return snap }, append([]byte("TDSNAP1\n"), rec...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, wal := tmpPaths(t)
+			path := tc.path(snap, wal)
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenStore(snap, wal)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("OpenStore on a v1 %s = %v, want ErrCorrupt naming %s", tc.name, err, path)
+			}
+			after, rerr := os.ReadFile(path)
+			if rerr != nil || !bytes.Equal(after, tc.data) {
+				t.Fatalf("v1 %s changed by the failed open: %q (%v), want %q", tc.name, after, rerr, tc.data)
+			}
+		})
 	}
 }
 
@@ -346,7 +323,7 @@ func TestCheckpointDoesNotBlockCommits(t *testing.T) {
 }
 
 // ReadManifest surfaces the snapshot's provenance for operators (tdlog
-// -manifest); v1 snapshots predate manifests and report LSN 0.
+// -manifest).
 func TestReadManifest(t *testing.T) {
 	snap, wal := tmpPaths(t)
 	s, err := OpenStore(snap, wal)

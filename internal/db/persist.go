@@ -48,15 +48,14 @@ import (
 //	uvarint record count
 //	crc32 (IEEE) of the three fields, little-endian
 //
-// followed by insert records. Legacy v1 files of both kinds stay readable;
-// OpenStore rewrites a v1 WAL in v2 framing on boot (see upgradeWALv1).
+// followed by insert records. These are the only formats: a file with any
+// other magic — a pre-PR-6 v1 file included — is refused with ErrCorrupt
+// and left untouched.
 
-// File magics. The v2 forms are current; v1 is read-back only.
+// File magics.
 const (
-	walMagic    = "TDWAL2\n"
-	walMagicV1  = "TDWAL1\n"
-	snapMagic   = "TDSNAP2\n"
-	snapMagicV1 = "TDSNAP1\n"
+	walMagic  = "TDWAL2\n"
+	snapMagic = "TDSNAP2\n"
 )
 
 // ErrCorrupt reports an unreadable persistent file (bad magic or manifest).
@@ -87,8 +86,7 @@ type WAL struct {
 }
 
 // OpenWAL opens (creating if needed) the log at path and positions for
-// appending. The file must be empty or start with the v2 WAL magic
-// (OpenStore upgrades legacy v1 logs before appending to them).
+// appending. The file must be empty or start with the WAL magic.
 func OpenWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -370,7 +368,7 @@ func (t *teeReader) ReadByte() (byte, error) {
 // Manifest describes a snapshot file: its format version, the LSN of the
 // last commit it covers, its record count, and — for snapshots written by
 // a sharded store (format version 3) — the shard count the store was
-// partitioned into when the checkpoint was taken. Shards is 0 for v1/v2
+// partitioned into when the checkpoint was taken. Shards is 0 for format-2
 // snapshots and for stores that never pinned a shard count.
 type Manifest struct {
 	FormatVersion int    `json:"format_version"`
@@ -507,72 +505,55 @@ func WriteSnapshot(d *DB, path string) error {
 	}, nil)
 }
 
-// ReadSnapshot loads a snapshot file (v1 or v2) into a fresh database.
+// ReadSnapshot loads a snapshot file into a fresh database.
 func ReadSnapshot(path string, opts ...Option) (*DB, error) {
 	d, _, err := readSnapshotManifest(path, opts...)
 	return d, err
 }
 
 // ReadManifest reads a snapshot's manifest without loading its records into
-// a database. Legacy v1 snapshots, which predate manifests, are scanned to
-// count records and reported as format version 1 at LSN 0.
+// a database.
 func ReadManifest(path string) (Manifest, error) {
-	f, err := os.Open(path)
+	f, _, man, err := openSnapshot(path)
 	if err != nil {
 		return Manifest{}, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+	f.Close()
+	return man, nil
+}
+
+// openSnapshot opens a snapshot file and reads its magic and manifest,
+// leaving r positioned at the first record. The caller closes f.
+func openSnapshot(path string) (f *os.File, r *bufio.Reader, man Manifest, err error) {
+	f, err = os.Open(path)
+	if err != nil {
+		return nil, nil, Manifest{}, err
+	}
+	r = bufio.NewReader(f)
 	hdr := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Manifest{}, fmt.Errorf("%w: %s is not a TD snapshot", ErrCorrupt, path)
+	if _, err := io.ReadFull(r, hdr); err != nil || string(hdr) != snapMagic {
+		f.Close()
+		return nil, nil, Manifest{}, fmt.Errorf("%w: %s is not a TD snapshot", ErrCorrupt, path)
 	}
-	switch string(hdr) {
-	case snapMagic:
-		man, err := readManifestHeader(r)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		}
-		return man, nil
-	case snapMagicV1:
-		recs, _ := readRecords(r)
-		return Manifest{FormatVersion: 1, Records: uint64(len(recs))}, nil
-	default:
-		return Manifest{}, fmt.Errorf("%w: %s is not a TD snapshot", ErrCorrupt, path)
+	man, err = readManifestHeader(r)
+	if err != nil {
+		f.Close()
+		return nil, nil, Manifest{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
+	return f, r, man, nil
 }
 
 func readSnapshotManifest(path string, opts ...Option) (*DB, Manifest, error) {
-	f, err := os.Open(path)
+	f, r, man, err := openSnapshot(path)
 	if err != nil {
 		return nil, Manifest{}, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	hdr := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, Manifest{}, fmt.Errorf("%w: %s is not a TD snapshot", ErrCorrupt, path)
-	}
-	var man Manifest
-	switch string(hdr) {
-	case snapMagic:
-		man, err = readManifestHeader(r)
-		if err != nil {
-			return nil, Manifest{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		}
-	case snapMagicV1:
-		man = Manifest{FormatVersion: 1}
-	default:
-		return nil, Manifest{}, fmt.Errorf("%w: %s is not a TD snapshot", ErrCorrupt, path)
-	}
 	d := New(opts...)
 	recs, _ := readRecords(r)
-	if man.FormatVersion >= 2 && uint64(len(recs)) != man.Records {
+	if uint64(len(recs)) != man.Records {
 		return nil, Manifest{}, fmt.Errorf("%w: %s: manifest says %d records, file holds %d",
 			ErrCorrupt, path, man.Records, len(recs))
-	}
-	if man.FormatVersion == 1 {
-		man.Records = uint64(len(recs))
 	}
 	if err := applyRecords(d, recs); err != nil {
 		return nil, Manifest{}, err
@@ -583,39 +564,35 @@ func readSnapshotManifest(path string, opts ...Option) (*DB, Manifest, error) {
 
 // scanWALFile streams the log's decoded entries to fn until EOF, the first
 // torn or corrupt entry, or fn returning false. end is the byte offset just
-// past the entry. It returns the framing version found (2 for an empty or
-// missing-header file, which only fresh logs are).
-func scanWALFile(path string, fn func(e walEntry, end int64) bool) (version int, err error) {
+// past the entry. A file too short to hold the magic is a fresh log with
+// nothing to scan; a full-length header that is not the WAL magic is
+// ErrCorrupt, never a torn tail.
+func scanWALFile(path string, fn func(e walEntry, end int64) bool) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
 	hdr := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 2, nil // empty/truncated header: nothing to scan
+			return nil // empty/truncated header: nothing to scan
 		}
-		return 0, err
+		return err
 	}
-	switch string(hdr) {
-	case walMagic:
-		version = 2
-	case walMagicV1:
-		version = 1
-	default:
-		return 0, fmt.Errorf("%w: %s is not a TD WAL", ErrCorrupt, path)
+	if string(hdr) != walMagic {
+		return fmt.Errorf("%w: %s is not a TD WAL", ErrCorrupt, path)
 	}
 	offset := int64(len(walMagic))
 	for {
 		e, n, ok := readEntry(r)
 		if !ok {
-			return version, nil
+			return nil
 		}
 		offset += n
 		if !fn(e, offset) {
-			return version, nil
+			return nil
 		}
 	}
 }
@@ -623,7 +600,7 @@ func scanWALFile(path string, fn func(e walEntry, end int64) bool) (version int,
 // WALEntry is one decoded write-ahead-log entry, as surfaced to tools
 // (cmd/tdlog's log dump mode).
 type WALEntry struct {
-	Boundary bool   // commit boundary (v2): stamps the ops before it
+	Boundary bool   // commit boundary: stamps the ops before it
 	LSN      uint64 // boundary only: the commit's LSN
 	Insert   bool   // operation only: insert vs delete
 	Pred     string // operation only
@@ -631,17 +608,9 @@ type WALEntry struct {
 	Key      string // operation only: canonical tuple key (term.DecodeKey)
 }
 
-// EncodeWALRecord encodes one op record in the on-disk framing (identical
-// in v1 and v2 logs) — the inverse of what ScanWAL decodes, for tools and
-// tests that fabricate log files.
-func EncodeWALRecord(insert bool, pred string, arity int, key string) []byte {
-	return encodeRecord(insert, pred, arity, key)
-}
-
 // ScanWAL streams the log's entries to fn in order, stopping cleanly at
-// the first torn or corrupt entry (or when fn returns false), and reports
-// the framing version it found (1 or 2).
-func ScanWAL(path string, fn func(WALEntry) bool) (version int, err error) {
+// the first torn or corrupt entry (or when fn returns false).
+func ScanWAL(path string, fn func(WALEntry) bool) error {
 	return scanWALFile(path, func(e walEntry, _ int64) bool {
 		if e.boundary {
 			return fn(WALEntry{Boundary: true, LSN: e.lsn})
@@ -650,14 +619,13 @@ func ScanWAL(path string, fn func(WALEntry) bool) (version int, err error) {
 	})
 }
 
-// ReplayWAL applies the operations logged at path on top of d, accepting
-// both v1 and v2 framing and ignoring commit boundaries — a raw replay for
-// tools and tests. Store recovery is stricter: it applies only complete
+// ReplayWAL applies the operations logged at path on top of d, ignoring
+// commit boundaries — a raw replay for tools and tests. Store recovery is stricter: it applies only complete
 // commit blocks past the booted snapshot's LSN (see replayCommits).
 func ReplayWAL(d *DB, path string) (int, error) {
 	n := 0
 	var applyErr error
-	_, err := scanWALFile(path, func(e walEntry, _ int64) bool {
+	err := scanWALFile(path, func(e walEntry, _ int64) bool {
 		if e.boundary {
 			return true
 		}
@@ -695,7 +663,7 @@ func replayCommits(d *DB, path string, snapLSN uint64) (replayInfo, error) {
 	info := replayInfo{validLen: int64(len(walMagic))}
 	var pending []record
 	var applyErr error
-	_, err := scanWALFile(path, func(e walEntry, end int64) bool {
+	err := scanWALFile(path, func(e walEntry, end int64) bool {
 		if !e.boundary {
 			pending = append(pending, e.rec)
 			return true
@@ -768,7 +736,7 @@ type Store struct {
 
 	// shards is the pinned shard count (0 until PinShards): recorded in
 	// every checkpoint manifest this store writes. snapShards is what the
-	// booted snapshot's manifest recorded (0 for v1/v2 snapshots).
+	// booted snapshot's manifest recorded (0 for format-2 snapshots).
 	shards     int
 	snapShards int
 
@@ -778,8 +746,8 @@ type Store struct {
 // OpenStore recovers (or initializes) a persistent database: load the
 // newest manifest-valid snapshot if present, replay only the WAL commit
 // blocks past its LSN on top, truncate the log after its last complete
-// block, and reopen it for appending. Legacy v1 files are read and the WAL
-// is rewritten in v2 framing.
+// block, and reopen it for appending. A snapshot or WAL in any other format
+// fails the open with ErrCorrupt and is left as it was.
 func OpenStore(snapPath, walPath string, opts ...Option) (*Store, error) {
 	var d *DB
 	var man Manifest
@@ -798,12 +766,6 @@ func OpenStore(snapPath, walPath string, opts ...Option) (*Store, error) {
 			// A crash during first-ever creation tore the magic; the file
 			// never held a record.
 			if err := os.Truncate(walPath, 0); err != nil {
-				return nil, err
-			}
-		} else if ver, err := walFileVersion(walPath); err != nil {
-			return nil, err
-		} else if ver == 1 {
-			if err := s.upgradeWALv1(d, man.LSN); err != nil {
 				return nil, err
 			}
 		} else {
@@ -834,87 +796,6 @@ func OpenStore(snapPath, walPath string, opts ...Option) (*Store, error) {
 	}
 	s.wal = wal
 	return s, nil
-}
-
-// walFileVersion reads just the magic header (1, 2, or ErrCorrupt).
-func walFileVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, err
-	}
-	switch string(hdr) {
-	case walMagic:
-		return 2, nil
-	case walMagicV1:
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("%w: %s is not a TD WAL", ErrCorrupt, path)
-	}
-}
-
-// upgradeWALv1 replays a legacy v1 log fully (v1 had no commit boundaries:
-// every readable record was applied) and rewrites the file in v2 framing as
-// one commit block at snapLSN+1. Leaving the v1 prefix in place and
-// appending v2 blocks after it would open a double-apply hole: the prefix,
-// carrying no LSN, would be re-applied on every boot — including one after
-// a crash between a checkpoint's snapshot rename and its WAL truncation,
-// resurrecting tuples the checkpointed commits had deleted.
-func (s *Store) upgradeWALv1(d *DB, snapLSN uint64) error {
-	var recs []record
-	if _, err := scanWALFile(s.walPath, func(e walEntry, _ int64) bool {
-		if !e.boundary {
-			recs = append(recs, e.rec)
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if err := applyRecords(d, recs); err != nil {
-		return err
-	}
-	d.ResetTrail()
-	s.recovery.ReplayedRecords = len(recs)
-	lsn := snapLSN
-	if len(recs) > 0 {
-		lsn = snapLSN + 1
-	}
-	tmp := s.walPath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	w.WriteString(walMagic)
-	for _, rec := range recs {
-		w.Write(encodeRecord(rec.insert, rec.pred, rec.arity, rec.key))
-	}
-	if len(recs) > 0 {
-		w.Write(encodeBoundary(lsn))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.walPath); err != nil {
-		return err
-	}
-	if err := syncDir(s.walPath); err != nil {
-		return err
-	}
-	s.lastLSN = lsn
-	return nil
 }
 
 // Recovery reports what the OpenStore that built this store did. Immutable
@@ -1240,7 +1121,7 @@ func (s *Store) truncateWALThrough(lsn uint64) error {
 		return err
 	}
 	cut := int64(len(walMagic))
-	if _, err := scanWALFile(s.walPath, func(e walEntry, end int64) bool {
+	if err := scanWALFile(s.walPath, func(e walEntry, end int64) bool {
 		if e.boundary {
 			if e.lsn <= lsn {
 				cut = end

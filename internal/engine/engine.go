@@ -86,7 +86,7 @@ type Options struct {
 	// Diagnostics either way. The analysis runs only in New — nothing is
 	// added to the prove hot path.
 	Vet bool
-	// Plan runs the tdplan static planner (internal/analysis.Plan) over
+	// Plan runs the tdplan static planner (internal/analysis) over
 	// the program once, at construction time, and compiles its reordered
 	// rule variants into a per-adornment dispatch table. Call steps whose
 	// runtime binding pattern matches a planned variant — and that are not
@@ -131,7 +131,7 @@ var (
 
 // RuntimeError reports an execution fault (unbound update, bad builtin
 // call). These abort the search: they indicate program bugs that the static
-// safety check (ast.CheckSafety) approximates.
+// safety check (td.CheckSafety, tdvet's safety lint) approximates.
 type RuntimeError struct {
 	Goal string
 	Msg  string
@@ -364,30 +364,31 @@ func New(prog *ast.Program, opts Options) *Engine {
 		opts.MaxDepth = DefaultMaxDepth
 	}
 	e := &Engine{prog: prog, opts: opts, idx: compileClauses(prog)}
+	// One analysis of the program feeds every load-time consumer.
+	facts := analysis.Analyze(prog)
 	if opts.LoopCheck {
-		analysis.ReachesRecursion(prog, func(pred string, arity int) {
+		facts.ReachesRecursion(func(pred string, arity int) {
 			if e.recursive == nil {
 				e.recursive = make(map[enginePredArity]bool)
 			}
 			e.recursive[enginePredArity{pred: pred, arity: arity}] = true
 		})
 	}
-	if opts.Plan {
-		e.planRep = analysis.Plan(prog)
-		e.plan = compilePlan(e.planRep)
-	}
-	if opts.Memo != nil {
-		// Tabling gates on the plan report's certificates and support
-		// sets; run the planner here if Options.Plan did not (the report
-		// stays private — PlanReport() keeps reflecting Options.Plan).
-		rep := e.planRep
-		if rep == nil {
-			rep = analysis.Plan(prog)
+	if opts.Plan || opts.Memo != nil {
+		rep := facts.Plan()
+		if opts.Plan {
+			e.planRep = rep
+			e.plan = compilePlan(rep)
 		}
-		e.memo = newEngineMemo(prog, rep, opts.Memo)
+		if opts.Memo != nil {
+			// Tabling gates on the plan report's certificates and support
+			// sets whether or not Options.Plan installs the reorders
+			// (PlanReport() keeps reflecting Options.Plan).
+			e.memo = newEngineMemo(prog, rep, opts.Memo)
+		}
 	}
 	if opts.Vet {
-		e.vet = analysis.Vet(prog)
+		e.vet = facts.Vet()
 		e.vetErr = e.vet.Err()
 	}
 	return e

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/complexity"
 	"repro/internal/datalog"
 	"repro/internal/db"
 	"repro/internal/engine"
-	"repro/internal/fragments"
 	"repro/internal/machine"
 	"repro/internal/parser"
 	"repro/internal/term"
@@ -81,9 +81,9 @@ func E7TwoStack(cfg Config) Report {
 		return failed(r, err)
 	}
 	prog := parser.MustParse(c.RulesSrc)
-	rep := fragments.Analyze(prog)
+	rep := analysis.Analyze(prog).Classify()
 	r.Notes = append(r.Notes, "compiled fragment: "+rep.Fragment.String()+" — "+rep.Fragment.Complexity())
-	if rep.Fragment != fragments.Full {
+	if rep.Fragment != analysis.Full {
 		r.Pass = false
 	}
 	return r
@@ -96,9 +96,9 @@ func E7TwoStack(cfg Config) Report {
 func E8SequentialQBF(cfg Config) Report {
 	r := Report{ID: "E8", Title: "Thm 4.5: sequential TD alternation (QBF as data, fixed program)", Pass: true}
 	prog := parser.MustParse(machine.QBFRules)
-	rep := fragments.Analyze(prog)
+	rep := analysis.Analyze(prog).Classify()
 	r.Notes = append(r.Notes, "fragment: "+rep.Fragment.String()+" — "+rep.Fragment.Complexity())
-	if rep.Fragment != fragments.Sequential {
+	if rep.Fragment != analysis.Sequential {
 		r.Pass = false
 	}
 
@@ -163,9 +163,9 @@ func E10FullyBounded(cfg Config) Report {
 		drain :- empty.todo.
 	`
 	progIter := parser.MustParse(iter)
-	repIter := fragments.Analyze(progIter)
+	repIter := analysis.Analyze(progIter).Classify()
 	r.Notes = append(r.Notes, "iterated protocol fragment: "+repIter.Fragment.String())
-	if repIter.Fragment > fragments.FullyBounded {
+	if repIter.Fragment > analysis.FullyBounded {
 		r.Pass = false
 	}
 	sizes := pick(cfg.Quick, []int{4, 8, 16}, []int{4, 8, 16, 32, 64})
@@ -186,9 +186,9 @@ func E10FullyBounded(cfg Config) Report {
 
 	// Hardness side: the same fragment expresses SAT; pigeonhole blows up.
 	progSAT := parser.MustParse(machine.SATRules)
-	repSAT := fragments.Analyze(progSAT)
+	repSAT := analysis.Analyze(progSAT).Classify()
 	r.Notes = append(r.Notes, "SAT program fragment: "+repSAT.Fragment.String())
-	if repSAT.Fragment > fragments.FullyBounded {
+	if repSAT.Fragment > analysis.FullyBounded {
 		r.Pass = false
 	}
 	phSizes := pick(cfg.Quick, []int{1, 2}, []int{1, 2, 3})
@@ -270,9 +270,9 @@ func E11InsOnlyDatalog(cfg Config) Report {
 		scan(I) :- norecs(I).
 	`
 	progScan := parser.MustParse(scan)
-	repScan := fragments.Analyze(progScan)
+	repScan := analysis.Analyze(progScan).Classify()
 	r.Notes = append(r.Notes, "accumulate-only fragment: "+repScan.Fragment.String())
-	if repScan.Fragment != fragments.InsOnly {
+	if repScan.Fragment != analysis.InsOnly {
 		r.Pass = false
 	}
 	series := complexity.Sweep("accumulate-only scan, n records", pick(cfg.Quick, []int{8, 16}, []int{8, 16, 32, 64, 128}), func(n int) (float64, map[string]float64) {

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
 	"repro/internal/db"
 	"repro/internal/engine"
-	"repro/internal/fragments"
 	"repro/internal/parser"
 )
 
@@ -223,8 +223,8 @@ func TestCompiledProgramIsCorollary46Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fragments.Analyze(prog)
-	if r.Fragment != fragments.Full {
+	r := analysis.Analyze(prog).Classify()
+	if r.Fragment != analysis.Full {
 		t.Fatalf("fragment = %v, want Full", r.Fragment)
 	}
 	if !r.Features.Recursive || r.Features.TailOnlyRecursion {
@@ -332,8 +332,8 @@ func TestQBFRulesAreSequentialFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fragments.Analyze(prog)
-	if r.Fragment != fragments.Sequential {
+	r := analysis.Analyze(prog).Classify()
+	if r.Fragment != analysis.Sequential {
 		t.Fatalf("QBF program fragment = %v, want Sequential (features %+v)", r.Fragment, r.Features)
 	}
 	if r.Features.UsesConcurrency {
@@ -403,8 +403,8 @@ func TestSATRulesAreFullyBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fragments.Analyze(prog)
-	if r.Fragment != fragments.FullyBounded && r.Fragment != fragments.InsOnly {
+	r := analysis.Analyze(prog).Classify()
+	if r.Fragment != analysis.FullyBounded && r.Fragment != analysis.InsOnly {
 		t.Fatalf("SAT program fragment = %v, want FullyBounded or InsOnly (features %+v)", r.Fragment, r.Features)
 	}
 	if !r.Features.TailOnlyRecursion {

@@ -342,8 +342,9 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: initial program: %w", err)
 	}
+	facts := analysis.Analyze(prog)
 	if !opts.NoVet {
-		if verr := analysis.Vet(prog).Err(); verr != nil {
+		if verr := facts.Vet().Err(); verr != nil {
 			return nil, fmt.Errorf("server: initial program: %w", verr)
 		}
 	}
@@ -397,7 +398,7 @@ func New(opts Options) (*Server, error) {
 	if !opts.NoPlan {
 		// Seed the eligibility gauge from the initial program before any
 		// session connects; session engine builds keep it merged.
-		s.notePlan(analysis.Plan(prog), false)
+		s.notePlan(facts.Plan(), false)
 	}
 	s.memo = engine.NewMemoStore(opts.TableMaxMB)
 	memoCounter := func(pick func(h, m, i, e int64) int64) func() int64 {

@@ -94,11 +94,22 @@ func (sess *session) freshReadSet() *readSet {
 	return sess.rsBuf.reset()
 }
 
-// buildEngine (re)builds the session engine for the current program. The
-// outgoing engine's prover profile (if any) is folded into the server-wide
-// aggregate first, so rebuilds never lose attribution.
-func (sess *session) buildEngine() {
+// buildEngine (re)builds the session engine for the current program.
+func (sess *session) buildEngine() { sess.installEngine(sess.newEngine(sess.prog, false)) }
+
+// installEngine makes eng the session engine. The outgoing engine's prover
+// profile (if any) is folded into the server-wide aggregate first, so
+// rebuilds never lose attribution.
+func (sess *session) installEngine(eng *engine.Engine) {
 	sess.srv.absorbProfile(sess.eng)
+	sess.eng = eng
+	sess.srv.notePlan(eng.PlanReport(), true)
+}
+
+// newEngine builds an engine for prog under the session's current switches.
+// With vet set the engine's one load-time analysis also produces the tdvet
+// report (Engine.VetReport), which LOAD inspects before installing anything.
+func (sess *session) newEngine(prog *ast.Program, vet bool) *engine.Engine {
 	opts := engine.Options{
 		LoopCheck: true,
 		Table:     true,
@@ -110,6 +121,7 @@ func (sess *session) buildEngine() {
 		// Span emission is handled by the session (it stamps wall-clock
 		// duration and owns slow-transaction reporting), not an engine sink.
 		Trace: sess.tracing(),
+		Vet:   vet,
 	}
 	if mode := sess.tableMode; mode != "" && mode != "none" {
 		// Tabled evaluation: the session engine fills and replays through
@@ -131,8 +143,7 @@ func (sess *session) buildEngine() {
 			return nil
 		}
 	}
-	sess.eng = engine.New(sess.prog, opts)
-	sess.srv.notePlan(sess.eng.PlanReport(), true)
+	return engine.New(prog, opts)
 }
 
 // engineProfile converts the server-wide prover profile into the engine's
@@ -254,19 +265,19 @@ func (sess *session) handleLoad(req *Request) *Response {
 			return fail(CodeParse, "fact %s is not ground", f)
 		}
 	}
-	if !sess.srv.opts.NoVet {
-		rep := analysis.Vet(prog)
-		if rep.Err() != nil {
-			sess.srv.stats.vetRejects.Add(1)
-			resp := fail(CodeVet, "program rejected by static analysis: %v", rep.Err())
-			resp.Diagnostics = rep.Diags
-			resp.Fragment = rep.Fragment
-			return resp
-		}
+	// One analysis serves the vet gate and the engine: the candidate engine
+	// is built first and installed only if its report carries no error.
+	eng := sess.newEngine(prog, !sess.srv.opts.NoVet)
+	if rep := eng.VetReport(); rep != nil && rep.Err() != nil {
+		sess.srv.stats.vetRejects.Add(1)
+		resp := fail(CodeVet, "program rejected by static analysis: %v", rep.Err())
+		resp.Diagnostics = rep.Diags
+		resp.Fragment = rep.Fragment
+		return resp
 	}
 	sess.prog = prog
 	sess.varHigh = prog.VarHigh
-	sess.buildEngine()
+	sess.installEngine(eng)
 	if resp := sess.commitFacts(prog.Facts); resp != nil {
 		return resp
 	}

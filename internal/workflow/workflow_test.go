@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/db"
 	"repro/internal/engine"
-	"repro/internal/fragments"
 	"repro/internal/parser"
 	"repro/internal/sim"
 )
@@ -213,15 +213,15 @@ func TestSequentialDriverIsFullyBounded(t *testing.T) {
 	}
 	src := rules + SequentialDriver(spec.Name)
 	prog := parser.MustParse(src)
-	r := fragments.Analyze(prog)
-	if r.Fragment > fragments.FullyBounded {
+	r := analysis.Analyze(prog).Classify()
+	if r.Fragment > analysis.FullyBounded {
 		t.Fatalf("sequential driver fragment = %v, want at most FullyBounded", r.Fragment)
 	}
 	// And the concurrent Driver is full TD (recursion under |).
 	src2 := rules + Driver(spec.Name)
 	prog2 := parser.MustParse(src2)
-	r2 := fragments.Analyze(prog2)
-	if r2.Fragment != fragments.Full {
+	r2 := analysis.Analyze(prog2).Classify()
+	if r2.Fragment != analysis.Full {
 		t.Fatalf("concurrent driver fragment = %v, want Full", r2.Fragment)
 	}
 	if !r2.Features.RecursionUnderConc {

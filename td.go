@@ -41,7 +41,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/db"
 	"repro/internal/engine"
-	"repro/internal/fragments"
 	"repro/internal/parser"
 	"repro/internal/sim"
 	"repro/internal/term"
@@ -86,11 +85,11 @@ type (
 	// MonitorFunc observes the database after each update in a simulation.
 	MonitorFunc = sim.MonitorFunc
 	// FragmentReport is the static classification of a program.
-	FragmentReport = fragments.Report
+	FragmentReport = analysis.FragmentReport
 	// Fragment labels a TD sublanguage.
-	Fragment = fragments.Fragment
+	Fragment = analysis.Fragment
 	// SafetyIssue is a static safety warning.
-	SafetyIssue = ast.SafetyIssue
+	SafetyIssue = analysis.SafetyIssue
 	// Diagnostic is one tdvet static-analysis finding.
 	Diagnostic = analysis.Diagnostic
 	// VetReport is the full result of vetting a program.
@@ -117,11 +116,11 @@ const (
 
 // Fragment labels, from most to least restricted.
 const (
-	NonRecursive = fragments.NonRecursive
-	InsOnly      = fragments.InsOnly
-	FullyBounded = fragments.FullyBounded
-	Sequential   = fragments.Sequential
-	Full         = fragments.Full
+	NonRecursive = analysis.NonRecursive
+	InsOnly      = analysis.InsOnly
+	FullyBounded = analysis.FullyBounded
+	Sequential   = analysis.Sequential
+	Full         = analysis.Full
 )
 
 // Programmatic goal constructors, for building transactions without going
@@ -217,16 +216,18 @@ func NewSimulator(p *Program, opts SimOptions) *Simulator { return sim.New(p, op
 
 // Classify statically places a program in the paper's complexity
 // landscape.
-func Classify(p *Program) FragmentReport { return fragments.Analyze(p) }
+func Classify(p *Program) FragmentReport { return analysis.Analyze(p).Classify() }
 
 // ClassifyGoal classifies a program together with a top-level goal (a
 // concurrent goal over a sequential rulebase changes the fragment — the
 // Corollary 4.6 situation).
-func ClassifyGoal(p *Program, g Goal) FragmentReport { return fragments.AnalyzeGoal(p, g) }
+func ClassifyGoal(p *Program, g Goal) FragmentReport {
+	return analysis.Analyze(p).ClassifyGoal(g)
+}
 
 // CheckSafety statically flags updates and builtins that may execute with
 // unbound variables.
-func CheckSafety(p *Program) []SafetyIssue { return ast.CheckSafety(p) }
+func CheckSafety(p *Program) []SafetyIssue { return analysis.Analyze(p).CheckSafety() }
 
 // Vet runs the tdvet static analyzer: position-aware, clause- and
 // literal-granular lints (safety, recursion through '|', dead clauses,

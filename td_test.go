@@ -122,6 +122,11 @@ func TestCheckSafetyFacade(t *testing.T) {
 	if issues := td.CheckSafety(prog); len(issues) != 1 {
 		t.Fatalf("issues = %v", issues)
 	}
+	// eq at the wrong arity is the arity lint's finding; the safety view
+	// must read it without indexing past its arguments.
+	if issues := td.CheckSafety(td.MustParse(`p(X) :- eq(X).`)); len(issues) != 0 {
+		t.Fatalf("eq/1 with a head-bound argument flagged: %v", issues)
+	}
 }
 
 func TestClassifyGoalFacade(t *testing.T) {
