@@ -24,11 +24,13 @@ race:
 # plus the lock-free metrics/histogram layer). The group-commit and hammer
 # tests get an explicit race-instrumented pass with a longer count: they
 # exercise the commit pipeline's cross-goroutine handoffs (flusher,
-# waiters, lock-free validation) far harder than the rest of the suite.
+# waiters, lock-free validation) far harder than the rest of the suite; the
+# answer-table tests ride along (the shared-store hammer, the isolation
+# interleaving, and the differential-under-writes pair).
 check: vet
 	$(GO) test ./...
 	$(GO) test -race ./internal/server ./internal/db ./internal/term ./internal/obs ./internal/history
-	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestLabFlowSerializabilityHammer|TestMemoTableHammer' ./internal/server ./internal/engine
+	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestLabFlowSerializabilityHammer|TestMemoHitReadsAreValidated|TestMemoTableHammer|TestMemoDifferentialCorpusUnderWrites|FuzzMemoUnderWrites' ./internal/server ./internal/engine
 	$(GO) test -race -count=2 -run 'TestCheckpoint|TestASOF|TestPersistentLSNs|TestCommitsFlowDuringCheckpoint' ./internal/db ./internal/server
 
 cover:
@@ -39,7 +41,8 @@ cover:
 # N=11` in a checkout of the parent commit writes the same-day baseline
 # that bench-compare gates against) in three sections: "disabled"
 # (observability instrumented but no tracing) — the prover steps (bank
-# transfer, whole lab workflow, planned-vs-textual, tabled-vs-untabled),
+# transfer, whole lab workflow, planned-vs-textual, tabled-vs-untabled,
+# tabled calls between writes),
 # the database churn pair, the simulator, and the in-process server
 # workloads including the sharded-store pair, disjoint (every client in a
 # private commit lane) and contended (shared accounts, mostly cross-lane),
@@ -57,12 +60,12 @@ cover:
 # leaves a truncated artifact (the PR 8 recording died mid-pipe and left
 # an empty file; the old `> tmp && mv` chain could not survive a failed
 # producer).
-N ?= 14
+N ?= 15
 BENCH := BENCH_PR$(N).json
 BENCH_PREV := BENCH_PR$(shell expr $(N) - 1).json
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverLabFlow$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$|BenchmarkServerLabFlow$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverLabFlow$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkProverTabledUnderWrites$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$|BenchmarkServerLabFlow$$' \
 		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label disabled -merge $(BENCH) -o $(BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughputDurable$$|BenchmarkServerThroughputDurableSampled$$|BenchmarkServerThroughputDisjointDurable$$|BenchmarkServerThroughputContendedDurable$$' \
 		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge $(BENCH) -o $(BENCH)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	td "repro"
+	"repro/internal/ast"
 	"repro/internal/datalog"
 	"repro/internal/db"
 	"repro/internal/engine"
@@ -268,6 +269,54 @@ func BenchmarkProverTabledChain(b *testing.B) {
 		opts.Memo = &engine.MemoOptions{Mode: "all"}
 		run(b, engine.New(prog, opts))
 	})
+}
+
+// BenchmarkProverTabledUnderWrites is the analyze stage with the lab still
+// running: hot(sK) round-robin over 1 024 samples, every answer tabled,
+// and after every tenth call one transaction that records a reading under
+// a fresh id — a tuple no hot(sK) proof ever read. One op is one call plus
+// its tenth of a write. The tables are warm when the clock starts, so
+// hit_share is the share of timed calls answered from them: what survives
+// the writes.
+func BenchmarkProverTabledUnderWrites(b *testing.B) {
+	const samples = 1024
+	cfg := workflow.DefaultAnalyze(samples)
+	prog := parser.MustParse(workflow.AnalyzeSource(cfg))
+	opts := engine.DefaultOptions()
+	opts.Plan = true
+	opts.Memo = &engine.MemoOptions{Mode: "all"}
+	eng := engine.New(prog, opts)
+	d, _ := db.FromFacts(prog.Facts)
+	calls := make([]ast.Goal, samples)
+	for k := range calls {
+		calls[k] = parser.MustParseGoal(fmt.Sprintf("hot(s%d)", k+1), prog.VarHigh)
+		if _, err := eng.Prove(calls[k], d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	writes := make([]ast.Goal, b.N/10+1)
+	for i := range writes {
+		n := 1_000_000 + i
+		writes[i] = parser.MustParseGoal(fmt.Sprintf("ins.sample_reading(%d, %d), ins.reading(%d, %d)", n, n, n, n%900), prog.VarHigh)
+	}
+	warm := *eng.MemoStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % samples
+		res, err := eng.Prove(calls[k], d)
+		if err != nil || res.Success != ((k+1)%cfg.HotEvery == 0) {
+			b.Fatal(err, res)
+		}
+		if i%10 == 9 {
+			if res, err := eng.Prove(writes[i/10], d); err != nil || !res.Success {
+				b.Fatal(err, res)
+			}
+		}
+	}
+	b.StopTimer()
+	st := eng.MemoStats()
+	b.ReportMetric(float64(st.Hits-warm.Hits)/float64(b.N), "hit_share")
 }
 
 // BenchmarkSimLab times the full genome laboratory simulation (8 samples).

@@ -75,8 +75,9 @@ func TestDumpWALAndManifest(t *testing.T) {
 // TestDumpWide is the wide-event round trip: a durable server with a JSONL
 // sink records sampled transactions (span lines interleaved on the same
 // stream), and tdlog -wide tabulates exactly the transaction lines. The
-// recorded stage decomposition must account for each transaction's
-// end-to-end wall-clock within 10%.
+// stages of a transaction never add up to more than its end-to-end time;
+// that they add up to all of it is asserted under a stepped clock in
+// internal/server (TestWideEvents), not against this machine's.
 func TestDumpWide(t *testing.T) {
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "obs.jsonl")
@@ -115,7 +116,7 @@ func TestDumpWide(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The recorded events decode, and their stage sums match end-to-end.
+	// The recorded events decode, and no stage sum exceeds its end-to-end.
 	data, err := os.ReadFile(jsonl)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +136,8 @@ func TestDumpWide(t *testing.T) {
 		if ev.TotalUs <= 0 {
 			t.Fatalf("event without total: %s", line)
 		}
-		if diff := ev.TotalUs - sum; diff < 0 || float64(diff) > 0.1*float64(ev.TotalUs)+8 {
-			t.Errorf("stage sum %dus does not account for total %dus: %s", sum, ev.TotalUs, line)
+		if sum > ev.TotalUs {
+			t.Errorf("stage sum %dus exceeds total %dus: %s", sum, ev.TotalUs, line)
 		}
 	}
 	if txns != 3 || spans == 0 {
@@ -171,6 +172,7 @@ func TestDumpWideConflictCause(t *testing.T) {
 	sink.EmitWide(&obs.WideEvent{Event: "txn", Verb: "COMMIT", Conflict: "read_write",
 		ConflictLSN: 41, ConflictAtom: "account(a, 100)", TotalUs: 9})
 	sink.EmitWide(&obs.WideEvent{Event: "txn", Verb: "EXEC", LSN: 42, Retries: 1, Conflict: "stale_replica", TotalUs: 9})
+	sink.EmitWide(&obs.WideEvent{Event: "txn", Verb: "QUERY", MemoMisses: 1, MemoStale: "reading/2[r17]", TotalUs: 9})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +181,9 @@ func TestDumpWideConflictCause(t *testing.T) {
 		t.Fatalf("dumpWide: %v", err)
 	}
 	if want := "conflict=read_write lost_to=41:account(a, 100)"; !strings.Contains(out.String(), want) {
+		t.Errorf("wide dump missing %q:\n%s", want, out.String())
+	}
+	if want := "memo_misses=1 memo_stale=reading/2[r17]"; !strings.Contains(out.String(), want) {
 		t.Errorf("wide dump missing %q:\n%s", want, out.String())
 	}
 	if strings.Count(out.String(), "lost_to=") != 1 {

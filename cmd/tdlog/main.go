@@ -347,6 +347,9 @@ func dumpWide(w io.Writer, path string) error {
 		if ev.MemoMisses > 0 {
 			fmt.Fprintf(w, " memo_misses=%d", ev.MemoMisses)
 		}
+		if ev.MemoStale != "" {
+			fmt.Fprintf(w, " memo_stale=%s", ev.MemoStale)
+		}
 		fmt.Fprintf(w, " total=%dus\n", ev.TotalUs)
 		if len(ev.StageUs) > 0 {
 			fmt.Fprint(w, " ")

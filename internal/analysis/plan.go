@@ -64,7 +64,8 @@ type PredPlan struct {
 	// a property of its call-graph SCC.
 	Recursion string `json:"recursion"`
 	// TablingEligible: derived, update-free, hypothetical-free, and not
-	// recursive through '|' — memoizing per snapshot version is sound.
+	// recursive through '|' — its answers are a function of what its
+	// proof search reads, so memoizing them is sound.
 	TablingEligible bool `json:"tabling_eligible"`
 	// Adornments lists the binding patterns the dataflow found, in
 	// discovery order (capped at maxAdornments).
@@ -73,10 +74,10 @@ type PredPlan struct {
 	// relation whose content the predicate's answers can depend on,
 	// transitively through the call graph. Entries are "name/arity" for
 	// relation reads (queries, rule-less calls) and a bare "name" for
-	// predicate-level reads (empty.p observes every arity). Sorted. This
-	// is the set a snapshot-versioned memo table keys its version vector
-	// on: if none of these relations changed, a cached answer multiset is
-	// still exact.
+	// predicate-level reads (empty.p observes every arity). Sorted.
+	// Report only: it is the static over-approximation of what any call
+	// can read. The engine's memo tables validate each entry against what
+	// its own proof search did read (engine/memo.go).
 	Support []string   `json:"support,omitempty"`
 	Rules   []RulePlan `json:"rules,omitempty"`
 }

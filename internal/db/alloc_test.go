@@ -139,7 +139,7 @@ func TestReadObservationAllocs(t *testing.T) {
 	d.Insert("edge", row)
 	d.ResetTrail()
 	seen := make(map[Key128]struct{})
-	d.SetReadHook(func(_ ReadKind, _ string, key Key128, _ uint64) { seen[key] = struct{}{} })
+	d.SetReadHook(func(_ ReadKind, _ string, _ int, key Key128, _ uint64) { seen[key] = struct{}{} })
 	env := term.NewEnv()
 	ground := row
 	absent := allocRow("carol", "dave")
@@ -156,6 +156,34 @@ func TestReadObservationAllocs(t *testing.T) {
 	}
 	if len(seen) == 0 {
 		t.Fatal("hook never fired")
+	}
+}
+
+// RegionFingerprint reads maintained fingerprints (and, for a unary
+// relation, probes one key built in the DB's scratch): no allocation at any
+// granularity, present or missing.
+func TestRegionFingerprintAllocs(t *testing.T) {
+	d := New()
+	d.Insert("edge", allocRow("alice", "bob"))
+	d.Insert("node", []term.Term{term.NewSym("alice")})
+	d.Insert("flag", nil)
+	d.ResetTrail()
+	alice, carol := term.NewSym("alice").Code(), term.NewSym("carol").Code()
+	var sink [2]uint64
+	n := testing.AllocsPerRun(200, func() {
+		for _, first := range []uint64{alice, carol} {
+			sink = d.RegionFingerprint(ReadKey, "edge", 2, first)
+			sink = d.RegionFingerprint(ReadPrefix, "edge", 2, first)
+			sink = d.RegionFingerprint(ReadKey, "node", 1, first)
+		}
+		sink = d.RegionFingerprint(ReadKey, "flag", 0, 0)
+		sink = d.RegionFingerprint(ReadRel, "edge", 2, 0)
+		sink = d.RegionFingerprint(ReadPred, "edge", 0, 0)
+		sink = d.RegionFingerprint(ReadPrefix, "nosuch", 2, alice)
+	})
+	_ = sink
+	if n != 0 {
+		t.Errorf("RegionFingerprint: %v allocs/op, want 0", n)
 	}
 }
 

@@ -129,11 +129,19 @@ type Key128 [2]uint64
 // ReadKey/ReadPrefix observations with arity > 0, and 0 otherwise — codes
 // are never 0, so 0 unambiguously means "no first argument". Shard-aware
 // callers feed it to ShardOf to tag the read with the shard the observed
-// tuples live in.
-type ReadHook func(kind ReadKind, pred string, key Key128, first uint64)
+// tuples live in. arity is the observed relation's arity (0 for ReadPred,
+// which observes every arity); (kind, pred, arity, first) name the region
+// of the database the observation covers, which RegionFingerprint
+// fingerprints.
+type ReadHook func(kind ReadKind, pred string, arity int, key Key128, first uint64)
 
 // SetReadHook installs (or, with nil, removes) the read observation hook.
 func (d *DB) SetReadHook(h ReadHook) { d.readHook = h }
+
+// ReadHook returns the installed read observation hook (nil when none), so
+// a caller can tee it: install its own hook that records and forwards, and
+// put this one back afterwards.
+func (d *DB) ReadHook() ReadHook { return d.readHook }
 
 // firstCode returns the ground code of a row's first argument, or 0 for a
 // zero-arity row (codes are tagged in their low bits and are never 0).
@@ -187,11 +195,15 @@ type relation struct {
 }
 
 // ibucket is one first-argument index bucket, with the same per-bucket
-// scan-order cache as the relation.
+// scan-order cache as the relation and its own slice of the relation's
+// content fingerprint (the XOR of its rows' tuple hashes, so an emptied
+// bucket is back at {0, 0}).
 type ibucket struct {
 	rows   map[string][]term.Term
 	order  [][]term.Term
 	sorted bool
+	fpLo   uint64
+	fpHi   uint64
 }
 
 // change is one undo-log entry.
@@ -321,7 +333,7 @@ func seedOf(r *relation, pred string, arity int) (uint64, uint64) {
 func (d *DB) observeKey(r *relation, pred string, row []term.Term) {
 	lo, hi := seedOf(r, pred, len(row))
 	lo, hi = tupleHashFrom(lo, hi, row)
-	d.readHook(ReadKey, pred, Key128{lo, hi}, firstCode(row))
+	d.readHook(ReadKey, pred, len(row), Key128{lo, hi}, firstCode(row))
 }
 
 // tupleHash returns the two fingerprint contributions of one tuple (the
@@ -348,7 +360,7 @@ func (d *DB) Count(pred string, arity int) int {
 func (d *DB) IsEmpty(pred string) bool {
 	if d.readHook != nil {
 		lo, hi := predSeed(pred)
-		d.readHook(ReadPred, pred, Key128{lo, hi}, 0)
+		d.readHook(ReadPred, pred, 0, Key128{lo, hi}, 0)
 	}
 	for _, r := range d.rels {
 		if r.pred == pred && len(r.rows) > 0 {
@@ -419,6 +431,7 @@ func (d *DB) Delete(pred string, row []term.Term) bool {
 }
 
 func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
+	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	delete(r.rows, key)
 	r.order = nil
 	if r.index != nil {
@@ -426,6 +439,8 @@ func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
 		if b := r.index[c]; b != nil {
 			delete(b.rows, key)
 			b.order = nil
+			b.fpLo ^= lo
+			b.fpHi ^= hi
 			if len(b.rows) == 0 {
 				delete(r.index, c)
 				r.free = b
@@ -433,7 +448,6 @@ func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
 		}
 	}
 	d.size--
-	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	d.hashLo ^= lo
 	d.hashHi ^= hi
 	r.version++
@@ -442,6 +456,7 @@ func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
 }
 
 func (d *DB) addRow(r *relation, key string, stored []term.Term) {
+	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	r.rows[key] = trow{key: key, row: stored}
 	r.order = nil
 	if r.index != nil {
@@ -457,9 +472,10 @@ func (d *DB) addRow(r *relation, key string, stored []term.Term) {
 		}
 		b.rows[key] = stored
 		b.order = nil
+		b.fpLo ^= lo
+		b.fpHi ^= hi
 	}
 	d.size++
-	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	d.hashLo ^= lo
 	d.hashHi ^= hi
 	r.version++
@@ -531,6 +547,51 @@ func (d *DB) PredFingerprint(pred string) [2]uint64 {
 		}
 	}
 	return [2]uint64{lo, hi}
+}
+
+// RelKey returns the conflict key of the relation pred/arity: what a
+// ReadRel observation of it carries and Op.ConflictKeys reports as rel.
+func RelKey(pred string, arity int) Key128 {
+	lo, hi := relSeed(pred, arity)
+	return Key128{lo, hi}
+}
+
+// RegionFingerprint returns the content fingerprint of the region a read
+// observation (kind, pred, arity, first) covers, at the finest granularity
+// the DB maintains: a ReadPred observation is answered by PredFingerprint,
+// a ReadRel one by RelFingerprint, and a ReadKey or ReadPrefix one by the
+// first-argument bucket of first — for a unary relation, whose one tuple
+// with that argument is the whole bucket, by that tuple's presence. Where
+// there is no bucket to ask (arity 0, or WithoutIndex) the relation
+// fingerprint answers. The region always contains every tuple the
+// observation depended on, and the result is a pure function of the tuples
+// in it: equal fingerprints on two databases mean (up to a 2^-128
+// collision) equal region contents, however each was built, and an empty or
+// missing region is {0, 0}. No allocation.
+func (d *DB) RegionFingerprint(kind ReadKind, pred string, arity int, first uint64) [2]uint64 {
+	if kind == ReadPred {
+		return d.PredFingerprint(pred)
+	}
+	r := d.rel(pred, arity, false)
+	if r == nil {
+		return [2]uint64{}
+	}
+	switch {
+	case kind == ReadRel || arity == 0 || (arity > 1 && r.index == nil):
+		return [2]uint64{r.fpLo, r.fpHi}
+	case arity == 1:
+		kb := term.AppendCode(d.keyBuf[:0], first)
+		d.keyBuf = kb
+		if _, ok := r.rows[string(kb)]; !ok {
+			return [2]uint64{}
+		}
+		lo, hi := foldCode(r.seedLo, r.seedHi, first)
+		return [2]uint64{lo, hi}
+	}
+	if b := r.index[first]; b != nil {
+		return [2]uint64{b.fpLo, b.fpHi}
+	}
+	return [2]uint64{}
 }
 
 // snapshot returns a stable slice of the relation's rows, cached until the
@@ -622,12 +683,12 @@ func (d *DB) Scan(pred string, args []term.Term, env *term.Env, yield func() boo
 			for i := 0; i < len(kb); i += 8 {
 				lo, hi = foldCode(lo, hi, binary.LittleEndian.Uint64(kb[i:]))
 			}
-			d.readHook(ReadKey, pred, Key128{lo, hi}, first)
+			d.readHook(ReadKey, pred, len(args), Key128{lo, hi}, first)
 		case d.useIndex && len(kb) > 0:
 			lo, hi = foldCode(lo, hi, first)
-			d.readHook(ReadPrefix, pred, Key128{lo, hi}, first)
+			d.readHook(ReadPrefix, pred, len(args), Key128{lo, hi}, first)
 		default:
-			d.readHook(ReadRel, pred, Key128{lo, hi}, 0)
+			d.readHook(ReadRel, pred, len(args), Key128{lo, hi}, 0)
 		}
 	}
 	if r == nil {
@@ -729,19 +790,17 @@ func (d *DB) Clone() *DB {
 			version: r.version,
 			fpLo:    r.fpLo, fpHi: r.fpHi,
 		}
-		if d.useIndex && r.arity > 1 {
-			nr.index = make(map[uint64]*ibucket, len(r.index))
-		}
 		for key, tr := range r.rows {
 			nr.rows[key] = tr // rows are immutable once stored
-			if nr.index != nil {
-				c := tr.row[0].Code()
-				b := nr.index[c]
-				if b == nil {
-					b = &ibucket{rows: make(map[string][]term.Term)}
-					nr.index[c] = b
+		}
+		if r.index != nil {
+			nr.index = make(map[uint64]*ibucket, len(r.index))
+			for c, b := range r.index {
+				nb := &ibucket{rows: make(map[string][]term.Term, len(b.rows)), fpLo: b.fpLo, fpHi: b.fpHi}
+				for key, row := range b.rows {
+					nb.rows[key] = row
 				}
-				b.rows[key] = tr.row
+				nr.index[c] = nb
 			}
 		}
 		out.rels[k] = nr

@@ -465,7 +465,7 @@ func TestUnaryRelationNeedsNoIndex(t *testing.T) {
 			if r := d.rel("edge", 2, false); d.useIndex && r.index == nil {
 				t.Error("binary relation lost its first-argument index")
 			}
-			d.SetReadHook(func(kind ReadKind, pred string, key Key128, first uint64) {
+			d.SetReadHook(func(kind ReadKind, pred string, _ int, key Key128, first uint64) {
 				reads = append(reads, obs{kind, pred, key, first})
 			})
 			scans = append(scans,
@@ -619,7 +619,7 @@ func TestConflictKeysMatchReadObservations(t *testing.T) {
 	d.Insert("n", nil)
 	d.ResetTrail()
 	got := map[ReadKind]Key128{}
-	d.SetReadHook(func(kind ReadKind, _ string, key Key128, _ uint64) { got[kind] = key })
+	d.SetReadHook(func(kind ReadKind, _ string, _ int, key Key128, _ uint64) { got[kind] = key })
 	x, y := term.NewVar("X", 0), term.NewVar("Y", 1)
 	scanAll(d, "p", row("a", "b"))
 	scanAll(d, "p", []term.Term{sym("a"), y})

@@ -75,11 +75,21 @@ type deriv struct {
 	// guards against a recursive tabled predicate re-entering its own
 	// fill; memoBuf is key-encoding scratch, safe to reuse because a key
 	// is fully consumed (lookup or string copy) before any nested search.
+	// memoFills[:memoDepth] are the determining-set recorders of the fills
+	// in progress, outermost first; memoTee is the read hook they install
+	// and memoBase the one it stands in front of (see beginFill).
+	// memoStale is the region whose fingerprint moved at the search's last
+	// invalidation.
 	memoHits    int64
 	memoMisses  int64
 	memoInvalid int64
+	memoStale   *memoDep
 	memoFlight  map[string]bool
 	memoBuf     []byte
+	memoFills   []*memoFill
+	memoDepth   int
+	memoTee     db.ReadHook
+	memoBase    db.ReadHook
 
 	// concTaint marks that the current descent passed through an
 	// un-isolated '|' composition: the literal being stepped interleaves
@@ -196,6 +206,9 @@ func (dv *deriv) reset(d *db.DB) {
 	dv.memoHits = 0
 	dv.memoMisses = 0
 	dv.memoInvalid = 0
+	dv.memoStale = nil
+	dv.memoDepth = 0
+	dv.memoBase = nil
 	if dv.memoFlight != nil {
 		clear(dv.memoFlight)
 	}
@@ -246,6 +259,10 @@ func (dv *deriv) stats() Stats {
 		// exactly once per search, so it is the profile's flush site.
 		dv.profFlush()
 	}
+	var stale string
+	if dv.memoStale != nil {
+		stale = dv.memoStale.String()
+	}
 	return Stats{
 		Steps:        dv.steps,
 		MaxDepth:     dv.maxDepth,
@@ -259,6 +276,7 @@ func (dv *deriv) stats() Stats {
 		MemoHits:          dv.memoHits,
 		MemoMisses:        dv.memoMisses,
 		MemoInvalidations: dv.memoInvalid,
+		MemoStale:         stale,
 	}
 }
 

@@ -98,10 +98,10 @@ type Options struct {
 	// reproduces the unplanned engine exactly. Plan composes with the
 	// clause index; under NoClauseIndex it is ignored.
 	Plan bool
-	// Memo, when non-nil, enables snapshot-versioned memo tables for
-	// tabling-eligible derived predicates (see memo.go): repeat calls with
-	// the same binding pattern over unchanged support relations replay the
-	// cached answer multiset instead of re-running proof search. The answer
+	// Memo, when non-nil, enables memo tables for tabling-eligible derived
+	// predicates (see memo.go): a repeat call with the same binding pattern
+	// replays the cached answer multiset instead of re-running proof
+	// search, as long as nothing the cached proof search read has changed. The answer
 	// multiset and success/failure behavior are identical either way (the
 	// corpus differential test checks this); with Memo nil the prove hot
 	// path pays a single nil check.
@@ -255,7 +255,11 @@ type Stats struct {
 	// Memo-table effort (Options.Memo; all zero with tabling off).
 	MemoHits          int64 // call steps replayed from a valid memo entry
 	MemoMisses        int64 // call steps that filled (or re-filled) an entry
-	MemoInvalidations int64 // lookups dropped on a stale support fingerprint
+	MemoInvalidations int64 // lookups that found an entry one of whose regions had moved
+	// MemoStale names the region behind the last of those invalidations:
+	// "reading/2[r17]" (a tuple or first-argument bucket), "reading/2" (the
+	// relation), "reading" (the predicate at every arity). Empty without one.
+	MemoStale string
 }
 
 // Result is the outcome of Prove.
@@ -309,8 +313,7 @@ type Engine struct {
 	plan    *planIndex
 	planRep *analysis.PlanReport
 	// memo is the compiled tabling configuration (Options.Memo): the
-	// selected predicates, their support sets, and the (possibly shared)
-	// answer store. nil when tabling is off or nothing was selected.
+	// selected predicates and the (possibly shared) answer store. nil when tabling is off or nothing was selected.
 	memo *engineMemo
 	// vet holds the load-time analysis report when Options.Vet is on;
 	// vetErr is its error form when the report carries error-severity

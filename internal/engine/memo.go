@@ -10,17 +10,19 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
+	"repro/internal/db"
 	"repro/internal/term"
 )
 
-// Tabled evaluation: snapshot-versioned memo tables for derived predicates.
+// Tabled evaluation: memo tables for derived predicates, each entry valid
+// wherever what its proof search read still reads the same.
 //
 // A call to a tabling-eligible derived predicate (update-free,
 // hypothetical-free, non-'|' recursion — the certificate
 // internal/analysis/plan.go computes) is a pure query over the current
 // database state: its answer multiset depends only on the program and on
-// the contents of the predicate's base-relation support set. Such a call
-// can be answered from a memo table instead of re-running proof search.
+// what its proof search reads. Such a call can be answered from a memo
+// table instead of re-running proof search.
 //
 // The memo key is (program, predicate, call pattern): the 128-bit program
 // content hash — one MemoStore may serve sessions that loaded different
@@ -30,15 +32,32 @@ import (
 // among the call's distinct free variables, so p(X,X) and p(X,Y) key
 // differently. FuzzMemoKey proves this encoding injective.
 //
-// Invalidation is snapshot-versioned with no protocol: each entry stores
-// the 128-bit fold of the per-relation content fingerprints of the
-// predicate's support set (PredPlan.Support) at fill time. A lookup
-// recomputes the fold against its own database — session snapshot
-// replicas, ASOF-pinned reads, and the live store each fold their own
-// relation fingerprints — and a mismatch is a miss that drops the stale
-// entry. Relation fingerprints are pure functions of tuple sets
-// (db.RelFingerprint), so replicas holding the same data share entries and
-// rolling a mutation back restores hits.
+// Invalidation is per entry and has no protocol. An entry stores its
+// determining set: the deduplicated read observations of the exhaustive
+// fill — exactly what db.ReadHook reports to a transaction's read set: a
+// tuple, a (relation, first argument) bucket, a relation, a predicate at
+// every arity — each with the content fingerprint of the region it covers
+// (db.RegionFingerprint) at fill time. A lookup is a hit iff every region
+// fingerprints the same on the caller's own database: session snapshot
+// replicas, ASOF-pinned reads and the live store each validate against
+// their own data. Region fingerprints are pure functions of tuple sets, so
+// replicas holding the same data share entries, a write outside every
+// region an entry read leaves it valid, and rolling a write back restores
+// the hit. Why that is sound: a fill is a deterministic function of the
+// program, the call pattern and the result of each read it makes, and
+// scans are order-deterministic; equal region contents give equal reads,
+// hence the same answer sequence (docs/PERF.md §12).
+//
+// The fill collects the set by teeing the database's installed read hook,
+// so an enclosing transaction's read set still sees every read, and a
+// fill nested in a fill hands its set to the enclosing one when it
+// finishes. A relation observed more than memoDepCap times in one fill (or
+// scanned whole) is recorded as one relation-level observation instead,
+// which bounds an entry's size and its validation time. A hit replays the
+// stored observations into the installed hook: a transaction that is
+// answered from the table has read what the fill read, and optimistic
+// validation must see that. The fill runs with its own failure table: a
+// failure memoized outside it stands for reads this fill's hook never saw.
 //
 // An answer is the projection of one successful execution onto the call's
 // distinct free variables: per variable a ground witness term, an alias to
@@ -81,8 +100,43 @@ type memoSlot struct {
 // slice overhead share) for the store's byte accounting.
 const memoSlotBytes = 32
 
-// MemoOptions configure the snapshot-versioned memo tables
-// (Options.Memo). The zero Mode is "auto".
+// memoDep is one element of an entry's determining set: a read observation
+// of the fill, as db.ReadHook reported it, and the fingerprint of the
+// region it covers at fill time.
+type memoDep struct {
+	kind  db.ReadKind
+	arity int32
+	pred  string
+	key   db.Key128
+	first uint64
+	fp    [2]uint64
+}
+
+// memoDepBytes is the size of one memoDep for the store's byte accounting.
+const memoDepBytes = 64
+
+// memoDepCap bounds the tuple- and bucket-level observations one entry
+// keeps per relation; past it the relation is recorded as a whole.
+const memoDepCap = 64
+
+// String names the region the observation covers: "reading/2[r17]" for a
+// tuple or bucket, "reading/2" for a relation, "reading" for a predicate.
+func (dp *memoDep) String() string {
+	if dp.kind == db.ReadPred {
+		return dp.pred
+	}
+	s := dp.pred + "/" + strconv.Itoa(int(dp.arity))
+	if dp.kind == db.ReadRel || dp.first == 0 {
+		return s
+	}
+	if t, ok := term.FromCode(dp.first); ok {
+		return s + "[" + t.String() + "]"
+	}
+	return s + "[#" + strconv.FormatUint(dp.first, 16) + "]"
+}
+
+// MemoOptions configure the memo tables (Options.Memo). The zero Mode is
+// "auto".
 type MemoOptions struct {
 	// Mode selects the tabled predicates among the tabling-eligible ones:
 	// "auto" (top-K by observed profile cost), "all", "none", or a
@@ -139,7 +193,7 @@ type MemoStore struct {
 	lru      *list.List // front = most recently used
 	bytes    int64
 	maxBytes int64
-	byPred   map[string]*memoPredCounters
+	byPred   map[string]*memoPredCounters // cells are created under mu, counted atomically
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -148,21 +202,29 @@ type MemoStore struct {
 }
 
 type memoPredCounters struct {
-	hits   int64
-	misses int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
-// memoEntry is one cached call: the support-set fingerprint it was filled
-// under, the answer count, and the flat count×nvars slot matrix.
+// memoEntry is one cached call: its determining set, the answer count, and
+// the flat count×nvars slot matrix. Immutable once inserted.
 type memoEntry struct {
 	key     string
-	pred    string
 	elem    *list.Element
-	fp      [2]uint64
+	deps    []memoDep
 	nvars   int
 	count   int
 	answers []memoSlot
 	bytes   int64
+}
+
+// replay reports the entry's determining set to hook, as the fill's reads
+// were reported when they were made.
+func (e *memoEntry) replay(hook db.ReadHook) {
+	for i := range e.deps {
+		dp := &e.deps[i]
+		hook(dp.kind, dp.pred, int(dp.arity), dp.key, dp.first)
+	}
 }
 
 // NewMemoStore returns an empty store bounded to maxMB megabytes
@@ -193,8 +255,10 @@ func (s *MemoStore) Usage() (bytes int64, entries int) {
 	return s.bytes, len(s.entries)
 }
 
-// predCounters returns the per-predicate cell, creating it. Callers hold mu.
+// predCounters returns the per-predicate cell, creating it.
 func (s *MemoStore) predCounters(pred string) *memoPredCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pc := s.byPred[pred]
 	if pc == nil {
 		pc = &memoPredCounters{}
@@ -203,51 +267,42 @@ func (s *MemoStore) predCounters(pred string) *memoPredCounters {
 	return pc
 }
 
-// lookup resolves key (still in its scratch buffer — the conversion in the
-// map index does not allocate) against the caller's support fingerprint.
-// A fingerprint mismatch drops the stale entry and reports invalidated.
-func (s *MemoStore) lookup(key []byte, fp [2]uint64, pred string) (e *memoEntry, ok, invalidated bool) {
+// lookup returns the entry under key (still in its scratch buffer — the
+// conversion in the map index does not allocate), or nil. The caller
+// validates it against its own database, outside the lock.
+func (s *MemoStore) lookup(key []byte) *memoEntry {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e = s.entries[string(key)]
-	if e == nil {
-		s.misses.Add(1)
-		s.predCounters(pred).misses++
-		return nil, false, false
+	e := s.entries[string(key)]
+	if e != nil {
+		s.lru.MoveToFront(e.elem)
 	}
-	if e.fp != fp {
+	s.mu.Unlock()
+	return e
+}
+
+// invalidate drops e, which a lookup found stale, unless a fresh fill has
+// already replaced it.
+func (s *MemoStore) invalidate(e *memoEntry) {
+	s.mu.Lock()
+	if s.entries[e.key] == e {
 		s.drop(e)
-		s.invalidations.Add(1)
-		s.misses.Add(1)
-		s.predCounters(pred).misses++
-		return nil, false, true
 	}
-	s.lru.MoveToFront(e.elem)
-	s.hits.Add(1)
-	s.predCounters(pred).hits++
-	return e, true, false
+	s.mu.Unlock()
+	s.invalidations.Add(1)
 }
 
 // insert stores a freshly filled entry, evicting least-recently-used
-// entries beyond the byte bound. An entry already present under key (a
+// entries beyond the byte bound. An entry already present under its key (a
 // concurrent session filled the same call first) is replaced.
-func (s *MemoStore) insert(key, pred string, fp [2]uint64, nvars, count int, answers []memoSlot) {
-	e := &memoEntry{
-		key:     key,
-		pred:    pred,
-		fp:      fp,
-		nvars:   nvars,
-		count:   count,
-		answers: answers,
-		bytes:   int64(len(key)) + int64(len(answers))*memoSlotBytes + 128,
-	}
+func (s *MemoStore) insert(e *memoEntry) {
+	e.bytes = int64(len(e.key)) + int64(len(e.answers))*memoSlotBytes + int64(len(e.deps))*memoDepBytes + 128
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.entries[key]; old != nil {
+	if old := s.entries[e.key]; old != nil {
 		s.drop(old)
 	}
 	e.elem = s.lru.PushFront(e)
-	s.entries[key] = e
+	s.entries[e.key] = e
 	s.bytes += e.bytes
 	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
 		victim := s.lru.Back().Value.(*memoEntry)
@@ -276,7 +331,7 @@ func (s *MemoStore) Snapshot() MemoStats {
 	st.Bytes = s.bytes
 	st.Entries = int64(len(s.entries))
 	for pred, pc := range s.byPred {
-		st.Preds = append(st.Preds, MemoPredStats{Pred: pred, Hits: pc.hits, Misses: pc.misses})
+		st.Preds = append(st.Preds, MemoPredStats{Pred: pred, Hits: pc.hits.Load(), Misses: pc.misses.Load()})
 	}
 	s.mu.Unlock()
 	sort.Slice(st.Preds, func(i, j int) bool {
@@ -288,19 +343,10 @@ func (s *MemoStore) Snapshot() MemoStats {
 	return st
 }
 
-// supportRef is one parsed entry of a predicate's support set: a relation
-// read ("name/arity") or a predicate-level read (bare "name", from
-// empty.p, which observes every arity).
-type supportRef struct {
-	pred      string
-	arity     int
-	predLevel bool
-}
-
-// memoPred is one tabled predicate's compiled gating data.
+// memoPred is one tabled predicate: its stats label and lookup counters.
 type memoPred struct {
-	name    string // "name/arity", the stats label
-	support []supportRef
+	name     string // "name/arity"
+	counters *memoPredCounters
 }
 
 // engineMemo is the per-engine memo configuration: the shared store, the
@@ -309,16 +355,6 @@ type engineMemo struct {
 	store          *MemoStore
 	progLo, progHi uint64
 	preds          map[enginePredArity]*memoPred
-}
-
-// parseSupportRef splits a PredPlan.Support entry.
-func parseSupportRef(entry string) supportRef {
-	if i := strings.LastIndexByte(entry, '/'); i >= 0 {
-		if n, err := strconv.Atoi(entry[i+1:]); err == nil {
-			return supportRef{pred: entry[:i], arity: n}
-		}
-	}
-	return supportRef{pred: entry, predLevel: true}
 }
 
 // splitPredArity splits a "name/arity" certificate label.
@@ -356,8 +392,8 @@ func progHash(prog *ast.Program) (uint64, uint64) {
 }
 
 // newEngineMemo compiles the memo configuration: select predicates per
-// opts.Mode among the report's tabling-eligible certificates, parse their
-// support sets, and bind the store. Returns nil when nothing is tabled.
+// opts.Mode among the report's tabling-eligible certificates and bind the
+// store. Returns nil when nothing is tabled.
 func newEngineMemo(prog *ast.Program, rep *analysis.PlanReport, opts *MemoOptions) *engineMemo {
 	mode := strings.TrimSpace(opts.Mode)
 	if mode == "" {
@@ -425,22 +461,17 @@ func newEngineMemo(prog *ast.Program, rep *analysis.PlanReport, opts *MemoOption
 	if len(selected) == 0 {
 		return nil
 	}
-	em := &engineMemo{preds: make(map[enginePredArity]*memoPred, len(selected))}
+	em := &engineMemo{store: opts.Store, preds: make(map[enginePredArity]*memoPred, len(selected))}
+	if em.store == nil {
+		em.store = NewMemoStore(opts.MaxMB)
+	}
 	em.progLo, em.progHi = progHash(prog)
 	for _, pp := range selected {
 		name, arity, ok := splitPredArity(pp.Pred)
 		if !ok {
 			continue
 		}
-		mp := &memoPred{name: pp.Pred}
-		for _, entry := range pp.Support {
-			mp.support = append(mp.support, parseSupportRef(entry))
-		}
-		em.preds[enginePredArity{pred: name, arity: arity}] = mp
-	}
-	em.store = opts.Store
-	if em.store == nil {
-		em.store = NewMemoStore(opts.MaxMB)
+		em.preds[enginePredArity{pred: name, arity: arity}] = &memoPred{name: pp.Pred, counters: em.store.predCounters(pp.Pred)}
 	}
 	return em
 }
@@ -469,26 +500,146 @@ func (e *Engine) MemoTabled() []string {
 	return out
 }
 
-// memoFingerprint folds the predicate's support-set relation fingerprints
-// against the search's database. Relation fingerprints are pure functions
-// of tuple sets, so replicas with equal data produce equal folds. The
-// support list is sorted at plan time, making the sequential fold
-// deterministic.
-func (dv *deriv) memoFingerprint(mp *memoPred) [2]uint64 {
-	const primeLo, primeHi = 1099511628211, 0xff51afd7ed558ccd
-	lo := uint64(14695981039346656037)
-	hi := uint64(0x9e3779b97f4a7c15)
-	for _, ref := range mp.support {
-		var f [2]uint64
-		if ref.predLevel {
-			f = dv.d.PredFingerprint(ref.pred)
-		} else {
-			f = dv.d.RelFingerprint(ref.pred, ref.arity)
+// memoFill is the state of one fill in progress: the determining set
+// collected so far, and what the fill set aside of the enclosing search. A
+// deriv keeps one per nesting depth and reuses them.
+type memoFill struct {
+	deps []memoDep
+	rels []memoFillRel
+	// failed is the fill's own failure table (nil while the failure memo
+	// is off); savedPath and savedFailed are the enclosing search's tables.
+	failed                 map[ckey]bool
+	savedPath, savedFailed map[ckey]bool
+}
+
+// memoFillRel counts one relation's tuple- and bucket-level observations in
+// a fill; collapsed means the relation is recorded as a whole.
+type memoFillRel struct {
+	pred      string
+	arity     int32
+	n         int32
+	collapsed bool
+}
+
+// has reports whether the observation (kind, key) is already recorded.
+func (f *memoFill) has(kind db.ReadKind, key db.Key128) bool {
+	for i := range f.deps {
+		if f.deps[i].key == key && f.deps[i].kind == kind {
+			return true
 		}
-		lo = (lo ^ f[0]) * primeLo
-		hi = (hi ^ f[1]) * primeHi
 	}
-	return [2]uint64{lo, hi}
+	return false
+}
+
+// note records one read observation, deduplicated, collapsing a relation
+// observed past memoDepCap (or scanned whole) to a single ReadRel. It has
+// the signature of a db.ReadHook.
+func (f *memoFill) note(kind db.ReadKind, pred string, arity int, key db.Key128, first uint64) {
+	dep := memoDep{kind: kind, arity: int32(arity), pred: pred, key: key, first: first}
+	if kind == db.ReadPred {
+		if !f.has(kind, key) {
+			f.deps = append(f.deps, dep)
+		}
+		return
+	}
+	var r *memoFillRel
+	for i := range f.rels {
+		if f.rels[i].arity == dep.arity && f.rels[i].pred == pred {
+			r = &f.rels[i]
+			break
+		}
+	}
+	if r == nil {
+		f.rels = append(f.rels, memoFillRel{pred: pred, arity: dep.arity})
+		r = &f.rels[len(f.rels)-1]
+	}
+	switch {
+	case r.collapsed || (kind != db.ReadRel && f.has(kind, key)):
+		return
+	case kind != db.ReadRel && r.n < memoDepCap:
+		f.deps = append(f.deps, dep)
+		r.n++
+		return
+	}
+	r.collapsed = true
+	kept := f.deps[:0]
+	for _, dp := range f.deps {
+		if dp.kind == db.ReadPred || dp.arity != dep.arity || dp.pred != pred {
+			kept = append(kept, dp)
+		}
+	}
+	f.deps = append(kept, memoDep{kind: db.ReadRel, arity: dep.arity, pred: pred, key: db.RelKey(pred, arity)})
+}
+
+// beginFill sets the search up for a fill: an independent, exhaustive
+// sub-search of a bare call whose every read is recorded. The outermost
+// fill tees the database's installed read hook; a nested one records on
+// top. The fill must not be pruned by the enclosing derivation's
+// path-cycle entries (the outer explore of a bare-call goal holds this very
+// configuration, and pruning here would cache an empty answer set), nor by
+// its failure table (a failure memoized outside the fill stands for reads
+// the fill would not record): it gets a fresh path and its own failure
+// table.
+func (dv *deriv) beginFill() *memoFill {
+	if dv.memoDepth == 0 {
+		dv.memoBase = dv.d.ReadHook()
+		if dv.memoTee == nil {
+			dv.memoTee = dv.observeFill
+		}
+		dv.d.SetReadHook(dv.memoTee)
+	}
+	if dv.memoDepth == len(dv.memoFills) {
+		dv.memoFills = append(dv.memoFills, &memoFill{})
+	}
+	f := dv.memoFills[dv.memoDepth]
+	dv.memoDepth++
+	f.deps, f.rels = f.deps[:0], f.rels[:0]
+	f.savedPath, f.savedFailed = dv.path, dv.failed
+	if dv.path != nil {
+		dv.path = make(map[ckey]bool)
+	}
+	if dv.failed != nil {
+		if f.failed == nil {
+			f.failed = make(map[ckey]bool)
+		}
+		clear(f.failed)
+		dv.failed = f.failed
+	}
+	return f
+}
+
+// endFill undoes beginFill: the enclosing search gets its tables back and,
+// after the outermost fill, the database its installed read hook.
+func (dv *deriv) endFill(f *memoFill) {
+	dv.path, dv.failed = f.savedPath, f.savedFailed
+	f.savedPath, f.savedFailed = nil, nil
+	dv.memoDepth--
+	if dv.memoDepth == 0 {
+		dv.d.SetReadHook(dv.memoBase)
+		dv.memoBase = nil
+	}
+}
+
+// observeFill is the read hook during a fill: the innermost fill records
+// the observation and the hook that was installed before still sees it.
+func (dv *deriv) observeFill(kind db.ReadKind, pred string, arity int, key db.Key128, first uint64) {
+	dv.memoFills[dv.memoDepth-1].note(kind, pred, arity, key, first)
+	if dv.memoBase != nil {
+		dv.memoBase(kind, pred, arity, key, first)
+	}
+}
+
+// memoStaleDep returns the first element of e's determining set whose
+// region no longer fingerprints as it did at fill time on the search's
+// database, or nil when the entry is valid here.
+func (dv *deriv) memoStaleDep(e *memoEntry) *memoDep {
+	for i := range e.deps {
+		dp := &e.deps[i]
+		if dv.d.RegionFingerprint(dp.kind, dp.pred, int(dp.arity), dp.first) != dp.fp {
+			return dp
+		}
+	}
+	return nil
 }
 
 // appendMemoKey encodes the call pattern of g into dst and returns the
@@ -525,6 +676,57 @@ func (dv *deriv) appendMemoKey(dst []byte, g *ast.Lit, vars []term.Term) ([]byte
 	return dst, vars
 }
 
+// memoFillEntry runs the fill of the call g under key: it exhausts the
+// sub-search of the bare call, recording every answer and every read, and
+// returns the entry — or nil when the sub-search errored.
+func (dv *deriv) memoFillEntry(g *ast.Lit, key string, vars []term.Term, depth int) *memoEntry {
+	if dv.memoFlight == nil {
+		dv.memoFlight = make(map[string]bool)
+	}
+	dv.memoFlight[key] = true
+	fill := dv.beginFill()
+	var answers []memoSlot
+	count := 0
+	cont := dv.explore(g, depth+1, func() bool {
+		for i, v := range vars {
+			w := dv.env.Walk(v)
+			if !w.IsVar() {
+				answers = append(answers, memoSlot{t: w, alias: memoGround})
+				continue
+			}
+			alias := memoUnbound
+			for j := 0; j < i; j++ {
+				if pw := dv.env.Walk(vars[j]); pw.IsVar() && pw.VarID() == w.VarID() {
+					alias = int32(j)
+					break
+				}
+			}
+			answers = append(answers, memoSlot{alias: alias})
+		}
+		count++
+		return true // collect every execution, then backtrack
+	})
+	dv.endFill(fill)
+	delete(dv.memoFlight, key)
+	if !cont {
+		return nil
+	}
+	// The predicate is update-free, so the database is as every read of
+	// the fill saw it: fingerprint the regions now.
+	deps := make([]memoDep, len(fill.deps))
+	copy(deps, fill.deps)
+	for i := range deps {
+		dp := &deps[i]
+		dp.fp = dv.d.RegionFingerprint(dp.kind, dp.pred, int(dp.arity), dp.first)
+	}
+	entry := &memoEntry{key: key, deps: deps, nvars: len(vars), count: count, answers: answers}
+	if dv.memoDepth > 0 {
+		// What this fill read, the enclosing fill read.
+		entry.replay(dv.memoFills[dv.memoDepth-1].note)
+	}
+	return entry
+}
+
 // memoStep serves an OpCall step from the memo table. handled reports
 // whether the memo path took the step (the predicate is tabled and no
 // same-key fill is in flight); when handled, cont is the usual
@@ -546,66 +748,41 @@ func (dv *deriv) memoStep(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int
 		// explores exactly the untabled semantics.
 		return false, false
 	}
-	fp := dv.memoFingerprint(mp)
-	entry, ok, invalidated := dv.e.memo.store.lookup(buf, fp, mp.name)
-	if invalidated {
-		dv.memoInvalid++
+	store := dv.e.memo.store
+	entry := store.lookup(buf)
+	if entry != nil {
+		if stale := dv.memoStaleDep(entry); stale != nil {
+			store.invalidate(entry)
+			dv.memoInvalid++
+			dv.memoStale = stale
+			entry = nil
+		}
 	}
 	var memoAnn uint8
-	if ok {
+	if entry != nil {
+		store.hits.Add(1)
+		mp.counters.hits.Add(1)
 		dv.memoHits++
 		memoAnn = MemoHit
 		if dv.e.opts.Profile {
 			dv.noteCall(g.Atom.Pred, 0)
 		}
+		// The caller has now read what the fill read: tell whoever is
+		// listening — a transaction's read set, an enclosing fill.
+		if hook := dv.d.ReadHook(); hook != nil {
+			entry.replay(hook)
+		}
 	} else {
-		key := string(buf)
+		store.misses.Add(1)
+		mp.counters.misses.Add(1)
 		dv.memoMisses++
 		memoAnn = MemoMiss
-		if dv.memoFlight == nil {
-			dv.memoFlight = make(map[string]bool)
-		}
-		dv.memoFlight[key] = true
-		// The fill is an independent, exhaustive sub-search of the bare
-		// call: it must not be pruned by the enclosing derivation's
-		// path-cycle entries (the outer explore of a bare-call goal holds
-		// this very configuration, and pruning here would cache an empty
-		// answer set). Give it a fresh path; the failure table stays
-		// shared — its entries are context-free.
-		savedPath := dv.path
-		if savedPath != nil {
-			dv.path = make(map[ckey]bool)
-		}
-		var answers []memoSlot
-		count := 0
-		fillCont := dv.explore(g, depth+1, func() bool {
-			for i, v := range vars {
-				w := dv.env.Walk(v)
-				if !w.IsVar() {
-					answers = append(answers, memoSlot{t: w, alias: memoGround})
-					continue
-				}
-				alias := memoUnbound
-				for j := 0; j < i; j++ {
-					if pw := dv.env.Walk(vars[j]); pw.IsVar() && pw.VarID() == w.VarID() {
-						alias = int32(j)
-						break
-					}
-				}
-				answers = append(answers, memoSlot{alias: alias})
-			}
-			count++
-			return true // collect every execution, then backtrack
-		})
-		dv.path = savedPath
-		delete(dv.memoFlight, key)
-		if !fillCont {
+		if entry = dv.memoFillEntry(g, string(buf), vars, depth); entry == nil {
 			// The sub-search errored (budget, depth, runtime fault): no
 			// entry is stored and the error propagates.
 			return true, false
 		}
-		dv.e.memo.store.insert(key, mp.name, fp, len(vars), count, answers)
-		entry = &memoEntry{nvars: len(vars), count: count, answers: answers}
+		store.insert(entry)
 	}
 	if entry.nvars != len(vars) {
 		// Defensive: an injective key cannot disagree on the variable

@@ -6,15 +6,21 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/parser"
 	"repro/internal/term"
 )
 
 // TestMemoTableHammer runs many sessions concurrently over one shared
-// MemoStore, each mutating its own live database replica between proofs.
-// Every session checks its tabled answers against a private untabled
-// engine on the same replica state, so the hammer catches both data races
-// (under -race) and cross-session answer leaks from the shared table.
+// MemoStore, each mutating its own live database replica between proofs:
+// writes outside every region a cached proof read (a fresh edge between
+// fresh nodes), writes inside one (an edge out of d, which every reach
+// fill read; a val tuple, which big/1 scans), and rollbacks of both. Every
+// session checks its tabled answers against a private untabled engine on
+// the same replica state, so the hammer catches data races (under -race),
+// cross-session answer leaks from the shared table — the replicas diverge,
+// so one key's entry is valid for some and stale for others at once — and
+// entries that outlive a write they depended on.
 func TestMemoTableHammer(t *testing.T) {
 	const (
 		workers = 8
@@ -31,19 +37,32 @@ func TestMemoTableHammer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if i%3 == 2 {
-					// Diverge this replica from the others: the shared
-					// table now holds entries for several distinct
-					// support fingerprints at once.
-					row := []term.Term{
-						term.NewSym(fmt.Sprintf("w%d", w)),
-						term.NewSym(fmt.Sprintf("i%d", i)),
+			both := func(f func(d *db.DB)) { f(dt); f(dp) }
+			toggle := func(pred string, row []term.Term) {
+				both(func(d *db.DB) {
+					if !d.Delete(pred, row) {
+						d.Insert(pred, row)
 					}
-					dt.Insert("edge", row)
-					dt.ResetTrail()
-					dp.Insert("edge", row)
-					dp.ResetTrail()
+					d.ResetTrail()
+				})
+			}
+			sym := term.NewSym
+			for i := 0; i < iters; i++ {
+				switch i % 5 {
+				case 1: // outside every region read
+					toggle("edge", []term.Term{sym(fmt.Sprintf("w%d", w)), sym(fmt.Sprintf("i%d", i))})
+				case 2: // inside: the bucket of d, and only on some replicas
+					if (w+i)%2 == 0 {
+						toggle("edge", []term.Term{sym("d"), sym(fmt.Sprintf("e%d", w%3))})
+					}
+				case 3: // inside big/1's scan
+					toggle("val", []term.Term{sym("q"), term.NewInt(int64(5 + 10*(w%2)))})
+				case 4: // written and rolled back: nothing moved
+					both(func(d *db.DB) {
+						mark := d.Mark()
+						d.Insert("edge", []term.Term{sym("a"), sym("zz")})
+						d.Undo(mark)
+					})
 				}
 				goal := parser.MustParseGoal(goals[i%len(goals)], 1000)
 				st, _, err := tabled.Solutions(goal, dt, 0)
@@ -68,7 +87,7 @@ func TestMemoTableHammer(t *testing.T) {
 	wg.Wait()
 
 	snap := store.Snapshot()
-	if snap.Hits == 0 {
-		t.Errorf("hammer never hit the shared table: %+v", snap)
+	if snap.Hits == 0 || snap.Invalidations == 0 {
+		t.Errorf("hammer never hit, or never invalidated, the shared table: %+v", snap)
 	}
 }

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/db"
 	"repro/internal/obs"
@@ -117,9 +119,9 @@ func TestMemoFailureCached(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidation mutates a support relation between calls: the entry
-// must be dropped (stale fingerprint), and rolling the mutation back must
-// restore hits — the fingerprint is content-based, not counter-based.
+// TestMemoInvalidation mutates a region the fill read between calls: the
+// entry must be dropped (stale fingerprint), and rolling a mutation back
+// must restore hits — the fingerprint is content-based, not counter-based.
 func TestMemoInvalidation(t *testing.T) {
 	e, d := memoSetup(t, memoProg, nil)
 	goal := parser.MustParseGoal("reach(a, Y)", 1000)
@@ -127,7 +129,8 @@ func TestMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mutate edge/2: the cached reach entries must go stale.
+	// Extend the chain at d, whose edge bucket every reach fill read: the
+	// cached reach entries must go stale.
 	row := []term.Term{term.NewSym("d"), term.NewSym("e")}
 	d.Insert("edge", row)
 	d.ResetTrail()
@@ -419,5 +422,303 @@ func TestMemoDisabledAllocs(t *testing.T) {
 	})
 	if n > 24 {
 		t.Errorf("memo-disabled Prove: %v allocs/op, want <= 24 (pre-tabling baseline)", n)
+	}
+}
+
+// --- determining sets --------------------------------------------------------
+
+// memoEntryOf returns the stored entry of a call literal, or nil.
+func memoEntryOf(t *testing.T, e *Engine, d *db.DB, call string) *memoEntry {
+	t.Helper()
+	lit, ok := fuzzCallLit(call)
+	if !ok {
+		t.Fatalf("%s is not a call literal", call)
+	}
+	dv := newDeriv(e, d, lit)
+	defer dv.release()
+	key, _ := dv.appendMemoKey(nil, lit, nil)
+	e.memo.store.mu.Lock()
+	defer e.memo.store.mu.Unlock()
+	return e.memo.store.entries[string(key)]
+}
+
+// depNames renders an entry's determining set, sorted.
+func depNames(e *memoEntry) []string {
+	var out []string
+	for i := range e.deps {
+		out = append(out, fmt.Sprintf("%d:%s", e.deps[i].kind, e.deps[i].String()))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// memoCall proves goal on the tabled engine, checks its answer multiset
+// against an untabled engine on the same database, and returns the stats.
+func memoCall(t *testing.T, e *Engine, d *db.DB, goal string) Stats {
+	t.Helper()
+	g := parser.MustParseGoal(goal, 1000)
+	got, res, err := e.Solutions(g, d, 0)
+	if err != nil {
+		t.Fatalf("%s: tabled: %v", goal, err)
+	}
+	want, _, err := NewDefault(e.Program()).Solutions(g, d, 0)
+	if err != nil {
+		t.Fatalf("%s: untabled: %v", goal, err)
+	}
+	if a, b := solutionsKey(got), solutionsKey(want); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("%s: tabled answers %v, untabled %v", goal, a, b)
+	}
+	return res.Stats
+}
+
+const memoHotProg = `
+sample_reading(s1, r1). sample_reading(s1, r2). sample_reading(s2, r3).
+reading(r1, 100). reading(r2, 950). reading(r3, 200).
+hot(S) :- sample_reading(S, R), reading(R, V), V > 900.
+`
+
+// TestMemoDeterminingSet pins what an entry depends on and what follows: a
+// write outside every region the fill read leaves the hit, a write inside
+// one costs exactly one invalidation and a correct refill, and undoing a
+// write restores the hit.
+func TestMemoDeterminingSet(t *testing.T) {
+	e, d := memoSetup(t, memoHotProg, nil)
+	if st := memoCall(t, e, d, "hot(s1)"); st.MemoMisses != 1 || st.MemoHits != 0 {
+		t.Fatalf("first call: %+v, want one miss", st)
+	}
+	entry := memoEntryOf(t, e, d, "hot(s1)")
+	if entry == nil {
+		t.Fatal("no entry stored for hot(s1)")
+	}
+	want := []string{"1:reading/2[r1]", "1:reading/2[r2]", "1:sample_reading/2[s1]"}
+	if got := depNames(entry); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("determining set %v, want %v", got, want)
+	}
+
+	sym, num := term.NewSym, term.NewInt
+	// Outside: another sample's readings, and a fresh reading nobody owns.
+	d.Insert("reading", []term.Term{sym("r3"), num(999)})
+	d.Insert("reading", []term.Term{sym("r9"), num(999)})
+	d.Insert("sample_reading", []term.Term{sym("s2"), sym("r9")})
+	d.ResetTrail()
+	if st := memoCall(t, e, d, "hot(s1)"); st.MemoHits != 1 || st.MemoMisses != 0 || st.MemoInvalidations != 0 || st.MemoStale != "" {
+		t.Fatalf("after writes outside the set: %+v, want a plain hit", st)
+	}
+
+	// Inside, rolled back before anyone looks: still a hit.
+	mark := d.Mark()
+	d.Delete("reading", []term.Term{sym("r2"), num(950)})
+	d.Undo(mark)
+	if st := memoCall(t, e, d, "hot(s1)"); st.MemoHits != 1 || st.MemoInvalidations != 0 {
+		t.Fatalf("after an undone write inside the set: %+v, want a hit", st)
+	}
+
+	// Inside: one invalidation, naming the bucket, and a refill that sees it.
+	mark = d.Mark()
+	d.Delete("reading", []term.Term{sym("r2"), num(950)})
+	st := memoCall(t, e, d, "hot(s1)")
+	if st.MemoInvalidations != 1 || st.MemoMisses != 1 || st.MemoHits != 0 || st.MemoStale != "reading/2[r2]" {
+		t.Fatalf("after a write inside the set: %+v, want one invalidation of reading/2[r2] and a refill", st)
+	}
+	if st := memoCall(t, e, d, "hot(s1)"); st.MemoHits != 1 || st.MemoInvalidations != 0 {
+		t.Fatalf("second call on the written state: %+v, want a hit on the refill", st)
+	}
+	// Undo of that write: the refill is now the stale one, once.
+	d.Undo(mark)
+	if st := memoCall(t, e, d, "hot(s1)"); st.MemoInvalidations != 1 || st.MemoMisses != 1 {
+		t.Fatalf("after undoing the write: %+v, want one invalidation and a refill", st)
+	}
+	if st := memoCall(t, e, d, "hot(s1)"); st.MemoHits != 1 || st.MemoInvalidations != 0 {
+		t.Fatalf("after undoing the write, second call: %+v, want a hit", st)
+	}
+	if snap := e.MemoStats(); snap.Invalidations != 2 {
+		t.Errorf("store counted %d invalidations, want 2", snap.Invalidations)
+	}
+}
+
+// TestMemoDepCap: a fill that reads one relation through more than
+// memoDepCap buckets keeps one relation-level observation for it, stays
+// correct, and is then invalidated by any write to that relation.
+func TestMemoDepCap(t *testing.T) {
+	var src strings.Builder
+	n := memoDepCap + 6
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "owns(lab, m%d). reading(m%d, %d).\n", i, i, i)
+	}
+	src.WriteString("owns(annex, mm). reading(mm, 5).\n")
+	src.WriteString("total(L, V) :- owns(L, M), reading(M, V).\n")
+	e, d := memoSetup(t, src.String(), nil)
+	memoCall(t, e, d, "total(lab, V)")
+	entry := memoEntryOf(t, e, d, "total(lab, V)")
+	if entry == nil {
+		t.Fatal("no entry stored")
+	}
+	want := []string{"1:owns/2[lab]", "2:reading/2"}
+	if got := depNames(entry); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("determining set past the cap: %v, want %v", got, want)
+	}
+	if st := memoCall(t, e, d, "total(lab, V)"); st.MemoHits != 1 {
+		t.Fatalf("repeat call: %+v, want a hit", st)
+	}
+	d.Insert("reading", []term.Term{term.NewSym("unowned"), term.NewInt(1)})
+	d.ResetTrail()
+	if st := memoCall(t, e, d, "total(lab, V)"); st.MemoInvalidations != 1 || st.MemoStale != "reading/2" {
+		t.Fatalf("write to the collapsed relation: %+v, want one invalidation of reading/2", st)
+	}
+	// Below the cap the same program keeps per-bucket observations.
+	memoCall(t, e, d, "total(annex, V)")
+	want = []string{"1:owns/2[annex]", "1:reading/2[mm]"}
+	if got := depNames(memoEntryOf(t, e, d, "total(annex, V)")); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("determining set below the cap: %v, want %v", got, want)
+	}
+}
+
+// TestMemoNestedDeterminingSet: what a tabled predicate called from a
+// tabled predicate read, the caller read — whether the inner call was a
+// fill nested in the outer fill or a hit replayed into it. Either way a
+// write only the inner proof saw invalidates the outer entry too.
+func TestMemoNestedDeterminingSet(t *testing.T) {
+	const src = `
+sample_reading(s1, r1). reading(r1, 950). batch(b1, s1).
+hot(S) :- sample_reading(S, R), reading(R, V), V > 900.
+alarm(B) :- batch(B, S), hot(S).
+`
+	want := []string{"1:batch/2[b1]", "1:reading/2[r1]", "1:sample_reading/2[s1]"}
+	for _, innerFirst := range []bool{false, true} {
+		e, d := memoSetup(t, src, nil)
+		if innerFirst {
+			memoCall(t, e, d, "hot(s1)") // the outer fill will hit this entry
+		}
+		st := memoCall(t, e, d, "alarm(b1)")
+		if innerFirst && (st.MemoHits != 1 || st.MemoMisses != 1) {
+			t.Fatalf("inner entry present: %+v, want the outer fill to hit it", st)
+		}
+		if !innerFirst && st.MemoMisses != 2 {
+			t.Fatalf("inner entry absent: %+v, want two nested fills", st)
+		}
+		if got := depNames(memoEntryOf(t, e, d, "alarm(b1)")); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("inner filled first=%v: outer determining set %v, want %v", innerFirst, got, want)
+		}
+		d.Delete("reading", []term.Term{term.NewSym("r1"), term.NewInt(950)})
+		d.ResetTrail()
+		if st := memoCall(t, e, d, "alarm(b1)"); st.MemoInvalidations == 0 || st.MemoHits != 0 {
+			t.Fatalf("inner filled first=%v: write under the inner call: %+v, want the outer entry invalidated", innerFirst, st)
+		}
+	}
+}
+
+// TestMemoFillReadsReachInstalledHook: the fill tees the hook that was
+// installed, a hit replays into it, and both leave it installed — with the
+// same observations, which is what lets optimistic validation treat an
+// answer from the table like the proof it stands for.
+func TestMemoFillReadsReachInstalledHook(t *testing.T) {
+	e, d := memoSetup(t, memoHotProg, nil)
+	var seen []string
+	hook := func(kind db.ReadKind, pred string, arity int, key db.Key128, first uint64) {
+		dp := memoDep{kind: kind, pred: pred, arity: int32(arity), key: key, first: first}
+		seen = append(seen, fmt.Sprintf("%d:%s:%x", kind, dp.String(), key))
+	}
+	d.SetReadHook(hook)
+	observed := func() []string {
+		out := append([]string(nil), seen...)
+		sort.Strings(out)
+		seen = seen[:0]
+		return out
+	}
+	goal := parser.MustParseGoal("hot(s1)", 1000)
+	for call, wantHits := range []int64{0, 1} {
+		res, err := e.Prove(goal, d)
+		if err != nil || !res.Success || res.Stats.MemoHits != wantHits {
+			t.Fatalf("call %d: %+v, %v", call, res, err)
+		}
+		if d.ReadHook() == nil {
+			t.Fatalf("call %d left no read hook installed", call)
+		}
+	}
+	_ = observed()
+	if _, err := e.Prove(goal, d); err != nil {
+		t.Fatal(err)
+	}
+	hit := observed()
+	e.memo.store = NewMemoStore(0) // forget the entry: the next call fills
+	if _, err := e.Prove(goal, d); err != nil {
+		t.Fatal(err)
+	}
+	fill := observed()
+	if fmt.Sprint(hit) != fmt.Sprint(fill) || len(hit) != 3 {
+		t.Fatalf("a hit observed %v, the fill %v: want the same three reads", hit, fill)
+	}
+}
+
+// TestMemoFailedFillStoresNothing: a fill cut short by the step budget
+// stores no entry and puts the installed hook back; the same call with
+// budget to spare then fills.
+func TestMemoFailedFillStoresNothing(t *testing.T) {
+	prog := parser.MustParse(reachChainSrc)
+	d := freshDB(t, prog)
+	store := NewMemoStore(0)
+	opts := DefaultOptions()
+	opts.Memo = &MemoOptions{Mode: "all", Store: store}
+	tight := opts
+	tight.MaxSteps = 12
+	calls := 0
+	d.SetReadHook(func(db.ReadKind, string, int, db.Key128, uint64) { calls++ })
+	goal := parser.MustParseGoal("reach(n0, Y)", 1000)
+	if _, _, err := New(prog, tight).Solutions(goal, d, 0); !errors.Is(err, ErrBudget) {
+		t.Fatalf("12-step search: %v, want ErrBudget", err)
+	}
+	if _, n := store.Usage(); n != 0 {
+		t.Errorf("%d entries stored by fills that ran out of budget", n)
+	}
+	before := calls
+	d.Contains("edge", []term.Term{term.NewSym("n0"), term.NewSym("n1")})
+	if calls != before+1 {
+		t.Errorf("installed hook saw %d reads after the failed fill, want 1: it was not put back", calls-before)
+	}
+	if st := memoCall(t, New(prog, opts), d, "reach(n0, Y)"); st.MemoMisses == 0 {
+		t.Fatalf("call with budget to spare: %+v", st)
+	}
+	if _, n := store.Usage(); n == 0 {
+		t.Error("nothing stored by the fill that finished")
+	}
+}
+
+// TestMemoFillOwnsItsFailureTable: a failure memoized before the fill, for
+// a residual the fill reaches too, must not stand in for the fill's reads.
+// cold/1 and hot/1 have the same body; with only hot tabled, check(s2)
+// fails through cold first and then fills hot(s2).
+func TestMemoFillOwnsItsFailureTable(t *testing.T) {
+	const src = memoHotProg + `
+cold(S) :- sample_reading(S, R), reading(R, V), V > 900.
+check(S) :- cold(S).
+check(S) :- hot(S).
+`
+	e, d := memoSetup(t, src, &MemoOptions{Mode: "hot"})
+	memoCall(t, e, d, "check(s2)")
+	entry := memoEntryOf(t, e, d, "hot(s2)")
+	if entry == nil {
+		t.Fatal("no entry stored for hot(s2)")
+	}
+	want := []string{"1:reading/2[r3]", "1:sample_reading/2[s2]"}
+	if got := depNames(entry); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("determining set %v, want %v", got, want)
+	}
+	d.Insert("reading", []term.Term{term.NewSym("r3"), term.NewInt(999)})
+	d.ResetTrail()
+	memoCall(t, e, d, "check(s2)")
+}
+
+// TestMemoBytesIncludeDeps: the store's byte accounting charges an entry
+// for its determining set.
+func TestMemoBytesIncludeDeps(t *testing.T) {
+	e, d := memoSetup(t, memoHotProg, nil)
+	memoCall(t, e, d, "hot(s1)")
+	entry := memoEntryOf(t, e, d, "hot(s1)")
+	want := int64(len(entry.key)) + int64(len(entry.answers))*memoSlotBytes + 3*memoDepBytes + 128
+	if bytes, _ := e.memo.store.Usage(); bytes != want || entry.bytes != want {
+		t.Errorf("store holds %d bytes, entry %d: want %d (3 observations at %d each)", bytes, entry.bytes, want, memoDepBytes)
+	}
+	if unsafe.Sizeof(memoDep{}) != memoDepBytes {
+		t.Errorf("memoDepBytes = %d, a memoDep is %d bytes", memoDepBytes, unsafe.Sizeof(memoDep{}))
 	}
 }

@@ -28,6 +28,11 @@ type WideEvent struct {
 	// sessions, so pre-tabling readers see unchanged lines).
 	MemoHits   int64 `json:"memo_hits,omitempty"`
 	MemoMisses int64 `json:"memo_misses,omitempty"`
+	// MemoStale says why that attempt's last memo invalidation happened:
+	// the region of the entry's determining set whose content had moved —
+	// "reading/2[r17]" (the first-argument bucket r17 of reading/2),
+	// "reading/2" (the relation), "reading" (the predicate at every arity).
+	MemoStale string `json:"memo_stale,omitempty"`
 	// ConflictLSN and ConflictAtom say why a read_write round was lost: the
 	// winning commit's LSN and the atom of its op the loser had observed.
 	ConflictLSN  uint64 `json:"conflict_lsn,omitempty"`

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -268,5 +269,124 @@ func TestStatsSnapshotMemoKeys(t *testing.T) {
 		if _, ok := wire[key]; !ok {
 			t.Errorf("tabled server STATS frame missing %q:\n%s", key, body)
 		}
+	}
+}
+
+// memoIsoProg is the analysis shape of the paper's lab workflow: readings
+// hang off samples, hot/1 is tabling-eligible and reads, for sample S, the
+// sample_reading bucket of S and the reading bucket of each of its
+// readings.
+const memoIsoProg = `
+sample_reading(s1, r1). reading(r1, 950).
+sample_reading(s2, r2). reading(r2, 100).
+hot(S) :- sample_reading(S, R), reading(R, V), V > 900.
+`
+
+// TestMemoHitReadsAreValidated is the isolation regression for answer
+// tables: a transaction answered from the table has read what the fill
+// read. T2 reads hot(s1) and writes; T1 commits a delete of the reading
+// that made s1 hot before T2 commits; T2 must lose with a read_write
+// conflict whether tabling is off or on, whether the entry it hit was
+// filled before its BEGIN or by itself inside the transaction, and at any
+// shard count. The two sessions are interleaved request by request, so the
+// schedule is the same every run. The negative cell: a write outside the
+// entry's determining set (a fresh reading) lets T2 commit.
+func TestMemoHitReadsAreValidated(t *testing.T) {
+	for _, table := range []string{"none", "all"} {
+		for _, prefill := range []bool{true, false} {
+			for _, shards := range []int{1, 4} {
+				for _, inside := range []bool{true, false} {
+					name := fmt.Sprintf("table=%s/prefill=%v/shards=%d/write_inside=%v", table, prefill, shards, inside)
+					t.Run(name, func(t *testing.T) {
+						s, err := New(Options{Program: memoIsoProg, Table: table, StoreShards: shards})
+						if err != nil {
+							t.Fatalf("New: %v", err)
+						}
+						defer s.Close()
+						t1, t2 := s.InProcClient(), s.InProcClient()
+						defer t1.Close()
+						defer t2.Close()
+
+						if prefill {
+							if sols, err := t2.Query("hot(s1)", 0); err != nil || len(sols) != 1 {
+								t.Fatalf("prefill Query hot(s1) = %v, %v", sols, err)
+							}
+						}
+						if err := t2.Begin(); err != nil {
+							t.Fatalf("T2 Begin: %v", err)
+						}
+						if _, err := t2.Run("hot(s1)"); err != nil {
+							t.Fatalf("T2 Run hot(s1): %v", err)
+						}
+						if _, err := t2.Run("ins.flagged(s1)"); err != nil {
+							t.Fatalf("T2 Run ins.flagged(s1): %v", err)
+						}
+						write := "ins.reading(r9, 10)"
+						if inside {
+							write = "del.reading(r1, 950)"
+						}
+						if _, err := t1.Exec(write); err != nil {
+							t.Fatalf("T1 Exec %s: %v", write, err)
+						}
+						_, err = t2.Commit()
+						st := s.Stats()
+						if inside {
+							if !IsConflict(err) {
+								t.Fatalf("T2 committed behind T1's %s (err %v): hot(s1) no longer holds at T2's serial position", write, err)
+							}
+							if st.ConflictCauses["read_write"] != 1 {
+								t.Errorf("conflict causes = %v, want one read_write", st.ConflictCauses)
+							}
+						} else {
+							if err != nil {
+								t.Fatalf("T2 Commit behind an unrelated write: %v", err)
+							}
+							if st.Conflicts != 0 {
+								t.Errorf("conflicts = %d after a write outside the determining set, want 0", st.Conflicts)
+							}
+						}
+						if table == "all" && prefill && st.MemoHits == 0 {
+							t.Errorf("T2's hot(s1) was not answered from the table: %+v", st)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestWideEventMemoStale: a sampled transaction whose proof dropped a stale
+// entry names the region that moved.
+func TestWideEventMemoStale(t *testing.T) {
+	sink := &captureSink{}
+	s, err := New(Options{Program: memoIsoProg, Table: "all", WideSink: sink})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	c := s.InProcClient()
+	for _, goal := range []string{"hot(s1)", "ins.reading(r9, 10)", "hot(s1)", "del.reading(r1, 950)"} {
+		if _, err := c.Exec(goal); err != nil {
+			t.Fatalf("Exec %s: %v", goal, err)
+		}
+	}
+	if _, err := c.Exec("hot(s1)"); !IsNoProof(err) {
+		t.Fatalf("hot(s1) after its reading is gone: %v, want no proof", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	evs := sink.events()
+	if len(evs) != 5 {
+		t.Fatalf("got %d wide events, want 5", len(evs))
+	}
+	for i, want := range []string{"", "", "", "", "reading/2[r1]"} {
+		if evs[i].MemoStale != want {
+			t.Errorf("event %d (%s): memo_stale = %q, want %q", i, evs[i].Goal, evs[i].MemoStale, want)
+		}
+	}
+	if evs[2].MemoHits != 1 {
+		t.Errorf("a write outside the determining set cost the hit: %+v", evs[2])
 	}
 }

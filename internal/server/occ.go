@@ -23,6 +23,12 @@ package server
 // true dependencies, which can only cause false conflicts, never missed
 // ones.
 //
+// A tabled call answered from the engine's memo table makes no lookup of
+// its own. The engine replays the entry's determining set — the read
+// observations of the proof search that filled it — into the same hook, so
+// a replayed answer observes what its fill observed and the read set of a
+// transaction does not depend on whether the table answered.
+//
 // With a sharded store, every observation is additionally tagged with the
 // commit lane (db.ShardOf) the observed tuples live in: key and prefix
 // reads name exactly one shard (the shard is a function of predicate and
@@ -84,7 +90,7 @@ func (rs *readSet) reset() *readSet {
 
 // observe is the db.ReadHook target. It runs for every read of every
 // explored path: a set insert of a fixed-size key, nothing built.
-func (rs *readSet) observe(kind db.ReadKind, pred string, key db.Key128, first uint64) {
+func (rs *readSet) observe(kind db.ReadKind, pred string, _ int, key db.Key128, first uint64) {
 	switch kind {
 	case db.ReadKey:
 		rs.keys[key] = struct{}{}

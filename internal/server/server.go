@@ -306,6 +306,10 @@ type Server struct {
 	sessID  atomic.Uint64
 	traceID atomic.Uint64
 
+	// stageNow, when a test sets it before the first session connects, is
+	// the time source of every session's stage clock (nil: time.Now).
+	stageNow func() time.Time
+
 	// mu guards the session registry and lifecycle state. It nests inside
 	// shard locks (lane pruning reads replica positions under it) and must
 	// never be held while taking a shard lock or seqMu.
@@ -324,8 +328,9 @@ type Server struct {
 
 	// memo is the shared answer store for tabled evaluation: every tabled
 	// session engine fills and replays through it, keyed by program hash +
-	// call pattern and guarded by support-set content fingerprints (so the
-	// private replicas need no invalidation protocol). Always present —
+	// call pattern, each entry validated against the caller's own replica
+	// by content fingerprints of what its fill read (so the private
+	// replicas need no invalidation protocol). Always present —
 	// TABLE can enable tabling at runtime on a server started with
 	// Options.Table unset — and empty until a tabled goal runs.
 	memo *engine.MemoStore
@@ -408,7 +413,7 @@ func New(opts Options) (*Server, error) {
 		memoCounter(func(h, _, _, _ int64) int64 { return h }))
 	s.reg.CounterFunc("td_memo_misses_total", "tabled calls that filled the memo table",
 		memoCounter(func(_, m, _, _ int64) int64 { return m }))
-	s.reg.CounterFunc("td_memo_invalidations_total", "memo entries dropped on a stale support fingerprint",
+	s.reg.CounterFunc("td_memo_invalidations_total", "memo entries dropped because a region their fill read had changed",
 		memoCounter(func(_, _, i, _ int64) int64 { return i }))
 	s.reg.CounterFunc("td_memo_evictions_total", "memo entries evicted by the LRU byte bound",
 		memoCounter(func(_, _, _, e int64) int64 { return e }))
@@ -650,6 +655,7 @@ func (s *Server) newSession(conn net.Conn) *session {
 		varHigh:   s.prog.VarHigh,
 		applied:   make([]atomic.Uint64, s.nshards),
 		tableMode: s.opts.Table,
+		clkBuf:    stageClock{now: s.stageNow},
 	}
 	s.rebuildReplica(sess)
 	sess.buildEngine()

@@ -56,11 +56,13 @@ type session struct {
 	profOn  bool // session-level PROFILE on/off toggle
 	// tableMode is the session's tabling mode ("auto", "all", "none", a
 	// predicate list, or "" = server default off), set by the TABLE verb;
-	// lastMemoHits/lastMemoMisses carry the most recent goal's memo
-	// counters into its wide event.
+	// lastMemoHits/lastMemoMisses/lastMemoStale carry the most recent
+	// goal's memo counters and the region behind its last invalidation
+	// into its wide event.
 	tableMode      string
 	lastMemoHits   int64
 	lastMemoMisses int64
+	lastMemoStale  string
 	lastSpan       *obs.Span // span tree of the most recent successful goal
 	// spanFresh marks lastSpan as produced by the request being served, so
 	// stage spans attach only to their own transaction's tree.
@@ -125,8 +127,9 @@ func (sess *session) newEngine(prog *ast.Program, vet bool) *engine.Engine {
 	}
 	if mode := sess.tableMode; mode != "" && mode != "none" {
 		// Tabled evaluation: the session engine fills and replays through
-		// the server's shared memo store (support-set content fingerprints
-		// keep replicas sound without an invalidation protocol). Auto mode
+		// the server's shared memo store (per-entry content fingerprints of
+		// what each fill read keep replicas sound without an invalidation
+		// protocol). Auto mode
 		// selects by the absorbed server-wide prover profile, so predicates
 		// that burned time in any session get tabled in the next engine.
 		opts.Memo = &engine.MemoOptions{
@@ -347,6 +350,7 @@ func (sess *session) addEngineStats(d *db.DB, st engine.Stats, before db.Counter
 	// transaction reports the memo traffic of its final proof attempt.
 	sess.lastMemoHits = st.MemoHits
 	sess.lastMemoMisses = st.MemoMisses
+	sess.lastMemoStale = st.MemoStale
 	after := d.Counters()
 	s.dbLookups.Add(after.Lookups - before.Lookups)
 	s.dbIndexHits.Add(after.IndexHits - before.IndexHits)
@@ -428,6 +432,7 @@ func (sess *session) emitWide(clk *stageClock, req *Request, resp *Response) {
 		TotalUs:    clk.total().Microseconds(),
 		MemoHits:   sess.lastMemoHits,
 		MemoMisses: sess.lastMemoMisses,
+		MemoStale:  sess.lastMemoStale,
 
 		ConflictLSN:  clk.conflictLSN,
 		ConflictAtom: clk.conflictAtom,

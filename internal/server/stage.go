@@ -40,6 +40,11 @@ var stageNames = [nStages]string{
 // owns one, reused across sampled transactions; it is only ever touched by
 // the owning session goroutine.
 type stageClock struct {
+	// now reads the time; nil means time.Now. Only tests set it (through
+	// Server.stageNow), to a stepped clock under which the decomposition is
+	// exact. reset keeps it.
+	now func() time.Time
+
 	start time.Time
 	last  time.Time
 	dur   [nStages]time.Duration
@@ -57,23 +62,31 @@ type stageClock struct {
 	conflictAtom string
 }
 
+// read returns the current time by the clock's time source.
+func (c *stageClock) read() time.Time {
+	if c.now != nil {
+		return c.now()
+	}
+	return time.Now()
+}
+
 // reset rearms the clock for a new transaction.
 func (c *stageClock) reset() {
-	now := time.Now()
-	*c = stageClock{start: now, last: now}
+	now := c.read()
+	*c = stageClock{now: c.now, start: now, last: now}
 }
 
 // mark charges the interval since the previous mark to stage. Stages may be
 // marked more than once (validate runs lock-free and again under the lane
 // locks; EXEC retries accumulate across attempts): durations add up.
 func (c *stageClock) mark(stage int) {
-	now := time.Now()
+	now := c.read()
 	c.dur[stage] += now.Sub(c.last)
 	c.last = now
 }
 
 // total is the transaction's end-to-end wall-clock so far.
-func (c *stageClock) total() time.Duration { return time.Since(c.start) }
+func (c *stageClock) total() time.Duration { return c.read().Sub(c.start) }
 
 // laneList expands the touched-lane mask into the wide event's lane list.
 func (c *stageClock) laneList() []int {

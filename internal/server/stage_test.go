@@ -172,6 +172,16 @@ func TestWideEvents(t *testing.T) {
 		SnapshotPath: dir + "/td.snap",
 		WALPath:      dir + "/td.wal",
 	})
+	// A stepped clock: every reading is one tick after the last. A stage
+	// mark then charges exactly one tick, and the total — read once more,
+	// after the last mark — is the stage sum plus one tick, whatever the
+	// machine is doing.
+	const tick = 100 * time.Microsecond
+	var fake time.Time
+	s.stageNow = func() time.Time {
+		fake = fake.Add(tick)
+		return fake
+	}
 	c := s.InProcClient()
 	for i := 0; i < 3; i++ {
 		if _, err := c.Exec("transfer(1, a, b)"); err != nil {
@@ -209,23 +219,28 @@ func TestWideEvents(t *testing.T) {
 		if ev.Batch < 1 {
 			t.Errorf("durable commit reports fsync batch %d, want >= 1", ev.Batch)
 		}
-		// The stage decomposition is additive: the per-stage sum accounts
-		// for the transaction's end-to-end wall-clock within 10% (the slack
-		// covers per-stage microsecond truncation).
+		// The stage decomposition is additive and exact: every interval
+		// between two readings of the clock belongs to one stage, so the
+		// stage sum is the total less the one tick between the last mark
+		// and the reading of the total.
 		var sum int64
-		for _, us := range ev.StageUs {
+		for stage, us := range ev.StageUs {
+			if us%tick.Microseconds() != 0 {
+				t.Errorf("stage_us[%s] = %d is not a whole number of marks", stage, us)
+			}
 			sum += us
 		}
-		if ev.TotalUs <= 0 {
-			t.Fatalf("total_us = %d: %+v", ev.TotalUs, ev)
+		if ev.TotalUs != sum+tick.Microseconds() {
+			t.Errorf("total %dus, stage sum %dus: want total = sum + one %v tick: %+v", ev.TotalUs, sum, tick, ev.StageUs)
 		}
-		if diff := ev.TotalUs - sum; diff < 0 || float64(diff) > 0.1*float64(ev.TotalUs)+float64(len(ev.StageUs)) {
-			t.Errorf("stage sum %dus does not account for total %dus: %+v", sum, ev.TotalUs, ev.StageUs)
-		}
-		// A durable commit must have spent time being proven and fsynced.
-		for _, stage := range []string{"prove", "fsync_wait"} {
-			if ev.StageUs[stage] <= 0 {
-				t.Errorf("stage_us[%s] = %d, want > 0: %+v", stage, ev.StageUs[stage], ev.StageUs)
+		// A durable, uncontended EXEC marks each stage it passes through
+		// a known number of times: validate runs lock-free and again under
+		// the lane locks, apply covers the lane heads and then the publish.
+		want := map[string]int64{"parse": 1, "prove": 1, "validate": 2, "lane_wait": 1,
+			"apply": 2, "wal_append": 1, "fsync_wait": 1, "ack": 1}
+		for stage, marks := range want {
+			if got := ev.StageUs[stage]; got != marks*tick.Microseconds() {
+				t.Errorf("stage_us[%s] = %d, want %d marks of %v: %+v", stage, got, marks, tick, ev.StageUs)
 			}
 		}
 	}

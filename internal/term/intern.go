@@ -1,6 +1,8 @@
 package term
 
 import (
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -33,6 +35,12 @@ type internShard struct {
 var internTable struct {
 	next   atomic.Uint32
 	shards [internShardCount]internShard
+
+	// names is the reverse table, id -> name, behind FromCode. It is
+	// written once per new name, inside that name's shard critical
+	// section, so whoever holds an id can already look its name up.
+	namesMu sync.RWMutex
+	names   []string
 }
 
 func init() {
@@ -87,9 +95,25 @@ func internSlow(sh *internShard, name string) uint32 {
 	if !ok {
 		id = internTable.next.Add(1) - 1
 		sh.ids[name] = id
+		internTable.namesMu.Lock()
+		for int(id) >= len(internTable.names) {
+			internTable.names = append(internTable.names, "")
+		}
+		internTable.names[id] = name
+		internTable.namesMu.Unlock()
 	}
 	sh.mu.Unlock()
 	return id
+}
+
+// internName returns the name interned under id.
+func internName(id uint32) (string, bool) {
+	internTable.namesMu.RLock()
+	defer internTable.namesMu.RUnlock()
+	if int(id) >= len(internTable.names) {
+		return "", false
+	}
+	return internTable.names[id], true
 }
 
 // InternedCount returns the number of distinct names interned so far
@@ -125,6 +149,32 @@ func (t Term) Code() uint64 {
 	default:
 		panic("term: Code of non-ground term " + t.String())
 	}
+}
+
+// FromCode is the inverse of Code: the ground term whose code is c, or
+// false when c is not a code this process has handed out. Codes say which
+// region of a relation a read observed (db.ReadHook's first); this is how a
+// diagnostic names that region. Not a hot-path function.
+func FromCode(c uint64) (Term, bool) {
+	tag, payload := c&7, c>>3
+	if tag == codeTagInt {
+		return NewInt(int64(c) >> 3), true
+	}
+	if tag < codeTagSym || tag > codeTagBig || payload > math.MaxUint32 {
+		return Term{}, false
+	}
+	name, ok := internName(uint32(payload))
+	if !ok {
+		return Term{}, false
+	}
+	switch tag {
+	case codeTagSym:
+		return Term{kind: Sym, num: int64(payload), str: name}, true
+	case codeTagStr:
+		return Term{kind: Str, num: int64(payload), str: name}, true
+	}
+	v, err := strconv.ParseInt(name, 10, 64)
+	return NewInt(v), err == nil
 }
 
 // appendIntID interns the decimal rendering of v using scratch buf.

@@ -99,6 +99,15 @@ func TestCodeInjective(t *testing.T) {
 			t.Fatalf("code collision: %v and %v both map to %#x", prev, tm, c)
 		}
 		codes[c] = tm
+		// FromCode inverts Code.
+		if back, ok := FromCode(c); !ok || !back.Equal(tm) || back.String() != tm.String() {
+			t.Fatalf("FromCode(Code(%v)) = %v, %v", tm, back, ok)
+		}
+	}
+	for _, c := range []uint64{0, 5, 6, 7, uint64(InternedCount()+1)<<3 | 1, 1<<40 | 1} {
+		if back, ok := FromCode(c); ok {
+			t.Fatalf("FromCode(%#x) = %v for a code never handed out", c, back)
+		}
 	}
 	// Equal terms must agree on their code.
 	if NewInt(7).Code() != NewInt(7).Code() {
