@@ -526,25 +526,11 @@ func BenchmarkServerThroughputDurableSampled(b *testing.B) {
 
 const benchBankAccounts = 8
 
-// benchShards pins the lane count for the sharded variants, so the results
-// (and the BENCH_PR7.json artifact) do not depend on the machine's core
-// count.
-const benchShards = 8
-
-// benchBankProgram builds the contended-bank rulebase with n seed accounts.
+// benchBankProgram builds the bank rulebase with n seed accounts.
 func benchBankProgram(n int) string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("acct%d", i)
-	}
-	return benchBankProgramNames(names)
-}
-
-// benchBankProgramNames is benchBankProgram over an explicit account list.
-func benchBankProgramNames(names []string) string {
 	var sb strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&sb, "account(%s, 100).\n", name)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "account(acct%d, 100).\n", i)
 	}
 	sb.WriteString(`
 withdraw(Amt, A) :- account(A, B), B >= Amt, del.account(A, B),
@@ -556,88 +542,43 @@ transfer(Amt, A, B) :- withdraw(Amt, A), deposit(Amt, B).
 	return sb.String()
 }
 
-// laneAccountPairs returns one (from, to) account pair per commit lane,
-// with both accounts of a pair routed to that lane — shard routing is a
-// pure function of (pred, first-arg code), shared with the server. Client c
-// working pair c%n touches exactly one lane, and different pairs touch
-// different lanes.
-func laneAccountPairs(nlanes int) ([][2]string, []string) {
-	groups := make([][]string, nlanes)
-	var names []string
-	for i, filled := 0, 0; filled < nlanes; i++ {
-		name := fmt.Sprintf("acct%d", i)
-		sh := db.ShardOf(nlanes, "account", term.NewSym(name).Code())
-		if len(groups[sh]) < 2 {
-			groups[sh] = append(groups[sh], name)
-			names = append(names, name)
-			if len(groups[sh]) == 2 {
-				filled++
-			}
-		}
-	}
-	pairs := make([][2]string, nlanes)
-	for sh, g := range groups {
-		pairs[sh] = [2]string{g[0], g[1]}
-	}
-	return pairs, names
-}
-
-// BenchmarkServerThroughputDisjoint is the sharded store's best case: 8
-// commit lanes, and every client hammers a private account pair that lives
-// entirely inside one lane, so commits validate and apply with no shared
-// lock but the LSN sequencer. Compare against
-// BenchmarkServerThroughputContended (same lanes, shared accounts) for the
-// cross-lane coordination cost, and against BenchmarkServerThroughput
-// (single lane by default on 1-core machines) for the sharding delta.
+// BenchmarkServerThroughputDisjoint is the commit path's best case: every
+// client hammers a private account pair, so no commit ever conflicts and
+// what is left is the cost of the commit lock and the replica catch-up.
+// Compare against BenchmarkServerThroughputContended (shared accounts).
 func BenchmarkServerThroughputDisjoint(b *testing.B) {
 	benchServerThroughputDisjoint(b, func(b *testing.B) td.ServerOptions {
-		return td.ServerOptions{StoreShards: benchShards}
+		return td.ServerOptions{}
 	})
 }
 
 // BenchmarkServerThroughputDisjointDurable adds a real snapshot + WAL and
-// an fsync per acknowledged commit: all 8 lanes feed the single group-commit
-// flusher, so this measures how well disjoint lanes keep the fsync batches
-// full.
+// an fsync per acknowledged commit: this measures how well conflict-free
+// committers keep the fsync batches full.
 func BenchmarkServerThroughputDisjointDurable(b *testing.B) {
 	benchServerThroughputDisjoint(b, func(b *testing.B) td.ServerOptions {
 		dir := b.TempDir()
 		return td.ServerOptions{
-			StoreShards:  benchShards,
 			SnapshotPath: filepath.Join(dir, "td.snap"),
 			WALPath:      filepath.Join(dir, "td.wal"),
 		}
 	})
 }
 
-// BenchmarkServerThroughputContended runs the shared-pool workload of
-// BenchmarkServerThroughput on an 8-lane store: every client draws from the
-// same 8 accounts, so most transfers span two lanes and the multi-lane
-// ordered-lock path dominates. The cross/commit metric reports the
-// cross-lane fraction actually measured.
-func BenchmarkServerThroughputContended(b *testing.B) {
-	benchServerThroughput(b, benchBankAccounts, func(b *testing.B) td.ServerOptions {
-		return td.ServerOptions{StoreShards: benchShards}
-	})
-}
+// BenchmarkServerThroughputContended is BenchmarkServerThroughput (every
+// client draws from the same 8 accounts) under the name the BENCH_PR*.json
+// records pair with Disjoint, so section geomeans keep comparing the same
+// benchmarks across records.
+func BenchmarkServerThroughputContended(b *testing.B) { BenchmarkServerThroughput(b) }
 
-// BenchmarkServerThroughputContendedDurable is the contended 8-lane
-// workload with per-commit durability.
-func BenchmarkServerThroughputContendedDurable(b *testing.B) {
-	benchServerThroughput(b, benchBankAccounts, func(b *testing.B) td.ServerOptions {
-		dir := b.TempDir()
-		return td.ServerOptions{
-			StoreShards:  benchShards,
-			SnapshotPath: filepath.Join(dir, "td.snap"),
-			WALPath:      filepath.Join(dir, "td.wal"),
-		}
-	})
-}
+// BenchmarkServerThroughputContendedDurable is the contended workload with
+// per-commit durability, likewise kept for the records.
+func BenchmarkServerThroughputContendedDurable(b *testing.B) { BenchmarkServerThroughputDurable(b) }
 
 func benchServerThroughputDisjoint(b *testing.B, mkOpts func(b *testing.B) td.ServerOptions) {
-	pairs, names := laneAccountPairs(benchShards)
-	program := benchBankProgramNames(names)
-	for _, clients := range []int{1, 4, 8} {
+	const maxClients = 8
+	program := benchBankProgram(2 * maxClients) // a private pair per client
+	for _, clients := range []int{1, 4, maxClients} {
 		b.Run(fmt.Sprintf("clients%d", clients), func(b *testing.B) {
 			opts := mkOpts(b)
 			opts.Program = program
@@ -657,14 +598,13 @@ func benchServerThroughputDisjoint(b *testing.B, mkOpts func(b *testing.B) td.Se
 					defer wg.Done()
 					cl := srv.InProcClient()
 					defer cl.Close()
-					pair := pairs[c%benchShards]
 					for i := 0; i < perClient; i++ {
 						// Alternate direction so the pair's balances never drain.
-						from, to := pair[0], pair[1]
+						from, to := 2*c, 2*c+1
 						if i%2 == 1 {
 							from, to = to, from
 						}
-						goal := fmt.Sprintf("iso(transfer(1, %s, %s))", from, to)
+						goal := fmt.Sprintf("iso(transfer(1, acct%d, acct%d))", from, to)
 						if _, err := cl.Exec(goal); err != nil && !td.IsNoProof(err) && !td.IsConflict(err) {
 							errs <- err
 							return
@@ -685,7 +625,6 @@ func benchServerThroughputDisjoint(b *testing.B, mkOpts func(b *testing.B) td.Se
 			if st.Commits > 0 {
 				b.ReportMetric(float64(st.Commits)/elapsed.Seconds(), "commits/sec")
 				b.ReportMetric(float64(st.Conflicts)/float64(st.Commits), "conflicts/commit")
-				b.ReportMetric(float64(st.CrossShardCommits)/float64(st.Commits), "cross/commit")
 			}
 		})
 	}
@@ -737,9 +676,6 @@ func benchServerThroughput(b *testing.B, accounts int, mkOpts func(b *testing.B)
 			if st.Commits > 0 {
 				b.ReportMetric(float64(st.Commits)/elapsed.Seconds(), "commits/sec")
 				b.ReportMetric(float64(st.Conflicts)/float64(st.Commits), "conflicts/commit")
-				if st.Shards > 1 {
-					b.ReportMetric(float64(st.CrossShardCommits)/float64(st.Commits), "cross/commit")
-				}
 			}
 		})
 	}

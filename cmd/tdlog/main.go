@@ -329,12 +329,6 @@ func dumpWide(w io.Writer, path string) error {
 		if ev.ConflictAtom != "" {
 			fmt.Fprintf(w, " lost_to=%d:%s", ev.ConflictLSN, ev.ConflictAtom)
 		}
-		if len(ev.Lanes) > 0 {
-			fmt.Fprintf(w, " lanes=%v", ev.Lanes)
-		}
-		if ev.CrossShard {
-			fmt.Fprint(w, " cross_shard")
-		}
 		if ev.Ops > 0 {
 			fmt.Fprintf(w, " ops=%d", ev.Ops)
 		}

@@ -161,7 +161,6 @@ func serveCmd(args []string) error {
 		nosync      = fs.Bool("nosync", false, "skip fsync on commit (throughput over durability)")
 		maxBatch    = fs.Int("commit.maxbatch", 0, "max commits per group-commit fsync batch (0 = default)")
 		maxDelay    = fs.Duration("commit.maxdelay", 0, "how long the flusher waits for more committers before fsyncing (0 = fsync immediately)")
-		shards      = fs.Int("store.shards", 0, "commit lanes the store is partitioned into (0 = GOMAXPROCS; 1 = unsharded)")
 		ckptEvery   = fs.Duration("checkpoint.interval", 0, "background checkpoint cadence (0 = no timer; CHECKPOINT verb always works)")
 		ckptWAL     = fs.Int64("checkpoint.walsize", 0, "checkpoint when the WAL exceeds this many bytes (0 = no size trigger)")
 		histWindow  = fs.Int("history.window", 0, "commit versions retained for ASOF/CHANGES (0 = default 256, negative = none)")
@@ -193,7 +192,6 @@ func serveCmd(args []string) error {
 		NoSync:             *nosync,
 		CommitMaxBatch:     *maxBatch,
 		CommitMaxDelay:     *maxDelay,
-		StoreShards:        *shards,
 		CheckpointInterval: *ckptEvery,
 		CheckpointWALSize:  *ckptWAL,
 		HistoryWindow:      *histWindow,
@@ -535,10 +533,6 @@ func statsCmd(args []string) error {
 	}
 	if st.Checkpoints > 0 {
 		fmt.Printf("checkpoints: %d (p99=%dus)\n", st.Checkpoints, st.CheckpointP99Us)
-	}
-	if st.Shards > 1 {
-		fmt.Printf("commit lanes: %d, per-lane commits %v, cross-shard %d (%.1f%%)\n",
-			st.Shards, st.ShardCommits, st.CrossShardCommits, st.CrossShardFraction*100)
 	}
 	if st.RecoveryReplayed > 0 {
 		fmt.Printf("recovery: %d WAL records replayed at boot\n", st.RecoveryReplayed)

@@ -1,8 +1,8 @@
 // Command tdtop is a refresh-loop terminal view of a running tdserver —
 // "top" for the transaction pipeline. Each tick it fetches STATS over the
 // wire protocol and renders throughput, the sampled per-stage latency
-// quantiles, per-lane commit balance, SLO burn rates, the memo-table hit
-// rate, and the hottest profiled predicates.
+// quantiles, SLO burn rates, the memo-table hit rate, and the hottest
+// profiled predicates.
 //
 // Usage:
 //
@@ -117,25 +117,6 @@ func render(w io.Writer, cur, prev *td.ServerStats, dt time.Duration) {
 			fmt.Fprintf(w, "%-11s %9d %9d  %s\n", stage, cur.StageP50Us[stage], p99, bar(p99, cur.StageP99Us))
 		}
 		fmt.Fprintln(w)
-	}
-
-	if cur.Shards > 1 {
-		var total int64
-		for _, n := range cur.ShardCommits {
-			total += n
-		}
-		fmt.Fprintf(w, "lanes (%d): ", cur.Shards)
-		for i, n := range cur.ShardCommits {
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(n) / float64(total)
-			}
-			if i > 0 {
-				fmt.Fprint(w, "  ")
-			}
-			fmt.Fprintf(w, "%d:%.0f%%", i, pct)
-		}
-		fmt.Fprintf(w, "   cross-shard %.1f%%\n\n", cur.CrossShardFraction*100)
 	}
 
 	for _, slo := range cur.SLOs {

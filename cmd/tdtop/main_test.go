@@ -10,8 +10,8 @@ import (
 )
 
 // render over a fully populated snapshot shows every section: throughput,
-// the stage table in pipeline order, lane balance, SLO state, and the
-// prover profile sorted hottest-first.
+// the stage table in pipeline order, SLO state, and the prover profile
+// sorted hottest-first.
 func TestRenderFullSnapshot(t *testing.T) {
 	prev := &td.ServerStats{Commits: 100, Conflicts: 10}
 	cur := &td.ServerStats{
@@ -27,9 +27,6 @@ func TestRenderFullSnapshot(t *testing.T) {
 			"parse": 30, "prove": 900, "validate": 15, "lane_wait": 40,
 			"apply": 25, "wal_append": 60, "fsync_wait": 2500, "ack": 20,
 		},
-		Shards:             2,
-		ShardCommits:       []int64{150, 150},
-		CrossShardFraction: 0.25,
 		SLOs: []td.ServerSLOSnapshot{
 			{Name: "commit", ThresholdUs: 5000, Objective: 0.999, Good: 299, Total: 300, BurnRate: 3.33},
 		},
@@ -48,7 +45,6 @@ func TestRenderFullSnapshot(t *testing.T) {
 		"throughput (interval): 100 commits/sec, 5 conflicts/sec",
 		"commit latency: p50=250us p99=4000us",
 		"fsync_wait", "wal_append",
-		"lanes (2): 0:50%  1:50%   cross-shard 25.0%",
 		"slo commit", "burn 3.33", "BREACH",
 		"predicate",
 	} {
@@ -72,7 +68,7 @@ func TestRenderFullSnapshot(t *testing.T) {
 	}
 }
 
-// A bare snapshot (no sampling, no shards, no SLOs, no profile) renders only
+// A bare snapshot (no sampling, no SLOs, no profile) renders only
 // the always-on header and throughput — no empty section stubs.
 func TestRenderMinimalSnapshot(t *testing.T) {
 	var out bytes.Buffer
@@ -81,7 +77,7 @@ func TestRenderMinimalSnapshot(t *testing.T) {
 	if !strings.Contains(body, "throughput (lifetime): 5 commits/sec") {
 		t.Errorf("lifetime throughput missing:\n%s", body)
 	}
-	for _, absent := range []string{"stage", "lanes", "slo", "predicate"} {
+	for _, absent := range []string{"stage", "slo", "predicate"} {
 		if strings.Contains(body, absent) {
 			t.Errorf("empty section %q rendered:\n%s", absent, body)
 		}

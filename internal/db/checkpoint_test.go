@@ -2,7 +2,9 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"strings"
 	"sync"
@@ -345,73 +347,73 @@ func TestReadManifest(t *testing.T) {
 	}
 }
 
-// A checkpoint taken under one shard count pins it: reopening under a
-// different -store.shards would repartition the commit lanes out from under
-// the recovered state, so PinShards refuses with an error naming both
-// counts. Matching counts — and stores that never pinned — keep working.
-func TestCheckpointPinsShardCount(t *testing.T) {
+// Servers that had commit lanes wrote a format-3 manifest header: the v2
+// fields plus the lane count. Such a snapshot still opens and recovers every
+// record, with the WAL suffix on top, and the next checkpoint rewrites it in
+// the one format that is written, v2.
+func TestFormat3SnapshotReopens(t *testing.T) {
 	snap, wal := tmpPaths(t)
 	s, err := OpenStore(snap, wal)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := s.PinShards(2); err != nil {
-		t.Fatalf("PinShards(2) on a fresh store: %v", err)
 	}
 	insertMarks(t, s, 1, 9)
 	if err := s.CheckpointFrom(FreezeDB(s.DB), s.LastLSN()); err != nil {
 		t.Fatal(err)
 	}
+	insertMarks(t, s, 10, 12) // a WAL suffix past the snapshot
 	s.Close()
+
+	// Re-head the snapshot the way the lane-era writer laid it out:
+	// version 3, LSN, record count, lane count 2, CRC over those bytes.
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.NewReader(raw[len(snapMagic):])
+	var v2 [3]uint64 // version, LSN, records
+	for i := range v2 {
+		if v2[i], err = binary.ReadUvarint(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := raw[len(raw)-body.Len()+4:] // past the v2 header's CRC
+	hdr := binary.AppendUvarint(nil, 3)
+	hdr = binary.AppendUvarint(hdr, v2[1])
+	hdr = binary.AppendUvarint(hdr, v2[2])
+	hdr = binary.AppendUvarint(hdr, 2)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	if err := os.WriteFile(snap, append(append([]byte(snapMagic), hdr...), records...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	man, err := ReadManifest(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.FormatVersion != 3 || man.Shards != 2 {
-		t.Fatalf("manifest = %+v, want v3 recording 2 shards", man)
+	if man.FormatVersion != 3 || man.LSN != 9 || man.Records != 9 {
+		t.Fatalf("manifest = %+v, want v3 at LSN 9 with 9 records", man)
 	}
-
 	s2, err := OpenStore(snap, wal)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("opening a format-3 snapshot: %v", err)
 	}
 	defer s2.Close()
-	if got := s2.Recovery().SnapshotShards; got != 2 {
-		t.Fatalf("SnapshotShards = %d, want 2", got)
+	if rec := s2.Recovery(); rec.SnapshotLSN != 9 || rec.SnapshotRecords != 9 || rec.ReplayedRecords != 3 {
+		t.Fatalf("recovery = %+v, want 9 snapshot records at LSN 9 and 3 replayed", rec)
 	}
-	if err := s2.PinShards(3); err == nil {
-		t.Fatal("PinShards(3) over a 2-shard checkpoint: want error, got nil")
-	} else if !strings.Contains(err.Error(), "-store.shards=2") {
-		t.Fatalf("PinShards(3) error %q does not name the pinned count", err)
+	for n := int64(1); n <= 12; n++ {
+		if !containsMark(s2, n) {
+			t.Fatalf("recovered store is missing mark(%d)", n)
+		}
 	}
-	if err := s2.PinShards(2); err != nil {
-		t.Fatalf("PinShards(2) over a 2-shard checkpoint: %v", err)
-	}
-	if !containsMark(s2, 9) {
-		t.Fatal("recovered store is missing mark(9)")
-	}
-}
-
-// A store that never pins shards keeps writing the pre-sharding manifest
-// byte format: v2, no shard field. Single-lane deployments and old tools
-// see unchanged checkpoint files.
-func TestUnpinnedCheckpointStaysV2(t *testing.T) {
-	snap, wal := tmpPaths(t)
-	s, err := OpenStore(snap, wal)
-	if err != nil {
+	if err := s2.CheckpointFrom(FreezeDB(s2.DB), s2.LastLSN()); err != nil {
 		t.Fatal(err)
 	}
-	insertMarks(t, s, 1, 3)
-	if err := s.CheckpointFrom(FreezeDB(s.DB), s.LastLSN()); err != nil {
+	if man, err = ReadManifest(snap); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	man, err := ReadManifest(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.FormatVersion != 2 || man.Shards != 0 {
-		t.Fatalf("manifest = %+v, want v2 with no shard count", man)
+	if man.FormatVersion != 2 || man.LSN != 12 || man.Records != 12 {
+		t.Fatalf("manifest after the next checkpoint = %+v, want v2 at LSN 12 with 12 records", man)
 	}
 }

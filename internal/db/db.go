@@ -127,12 +127,10 @@ type Key128 [2]uint64
 // ReadRel, the predicate for ReadPred. No string is built for it. first is
 // the ground code (term.Code) of the tuple's first argument for
 // ReadKey/ReadPrefix observations with arity > 0, and 0 otherwise — codes
-// are never 0, so 0 unambiguously means "no first argument". Shard-aware
-// callers feed it to ShardOf to tag the read with the shard the observed
-// tuples live in. arity is the observed relation's arity (0 for ReadPred,
-// which observes every arity); (kind, pred, arity, first) name the region
-// of the database the observation covers, which RegionFingerprint
-// fingerprints.
+// are never 0, so 0 unambiguously means "no first argument". arity is the
+// observed relation's arity (0 for ReadPred, which observes every arity);
+// (kind, pred, arity, first) name the region of the database the
+// observation covers, which RegionFingerprint fingerprints.
 type ReadHook func(kind ReadKind, pred string, arity int, key Key128, first uint64)
 
 // SetReadHook installs (or, with nil, removes) the read observation hook.
@@ -499,9 +497,21 @@ func (d *DB) Undo(mark int) {
 	d.trail = d.trail[:mark]
 }
 
+// trailKeepMax bounds the undo-trail storage (in entries, 56 B each) a DB
+// keeps across ResetTrail. Transactions reuse the storage; a bulk load's —
+// the server's head is built by one, a boot-time install or a recovery, and
+// then lives as long as the server does — is given back.
+const trailKeepMax = 4096
+
 // ResetTrail discards undo history, committing all changes so far. Undo
 // marks taken earlier become invalid.
-func (d *DB) ResetTrail() { d.trail = d.trail[:0] }
+func (d *DB) ResetTrail() {
+	if cap(d.trail) > trailKeepMax {
+		d.trail = nil
+		return
+	}
+	d.trail = d.trail[:0]
+}
 
 // TrailLen returns the number of pending undo entries (for tests/metrics).
 func (d *DB) TrailLen() int { return len(d.trail) }

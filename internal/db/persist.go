@@ -366,32 +366,17 @@ func (t *teeReader) ReadByte() (byte, error) {
 }
 
 // Manifest describes a snapshot file: its format version, the LSN of the
-// last commit it covers, its record count, and — for snapshots written by
-// a sharded store (format version 3) — the shard count the store was
-// partitioned into when the checkpoint was taken. Shards is 0 for format-2
-// snapshots and for stores that never pinned a shard count.
+// last commit it covers, and its record count.
 type Manifest struct {
 	FormatVersion int    `json:"format_version"`
 	LSN           uint64 `json:"lsn"`
 	Records       uint64 `json:"records"`
-	Shards        int    `json:"shards,omitempty"`
 }
 
-// encodeManifest picks the format version from what it has to record: a
-// pinned shard count needs the v3 header's extra field; without one the
-// header is byte-identical to every v2 snapshot ever written.
-func encodeManifest(lsn, count uint64, shards int) []byte {
-	var buf []byte
-	if shards > 0 {
-		buf = binary.AppendUvarint(buf, 3)
-	} else {
-		buf = binary.AppendUvarint(buf, 2)
-	}
+func encodeManifest(lsn, count uint64) []byte {
+	buf := binary.AppendUvarint(nil, 2)
 	buf = binary.AppendUvarint(buf, lsn)
 	buf = binary.AppendUvarint(buf, count)
-	if shards > 0 {
-		buf = binary.AppendUvarint(buf, uint64(shards))
-	}
 	sum := crc32.ChecksumIEEE(buf)
 	return binary.LittleEndian.AppendUint32(buf, sum)
 }
@@ -411,11 +396,17 @@ func readManifestHeader(r *bufio.Reader) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	var shards uint64
-	if version >= 3 {
-		if shards, err = binary.ReadUvarint(tee); err != nil {
+	switch version {
+	case 2:
+	case 3:
+		// Written by servers that had commit lanes: a v2 header plus the
+		// lane count. Read and discarded so their checkpoints reopen; only
+		// v2 is written.
+		if _, err := binary.ReadUvarint(tee); err != nil {
 			return Manifest{}, err
 		}
+	default:
+		return Manifest{}, fmt.Errorf("unsupported manifest version %d", version)
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
@@ -424,7 +415,7 @@ func readManifestHeader(r *bufio.Reader) (Manifest, error) {
 	if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(raw) {
 		return Manifest{}, errors.New("manifest checksum mismatch")
 	}
-	return Manifest{FormatVersion: int(version), LSN: lsn, Records: count, Shards: int(shards)}, nil
+	return Manifest{FormatVersion: int(version), LSN: lsn, Records: count}, nil
 }
 
 // syncDir fsyncs path's parent directory, making a just-renamed or created
@@ -447,7 +438,7 @@ func syncDir(path string) error {
 // fsynced, renamed over path, and sealed with a parent-directory fsync.
 // midHook, when non-nil, runs with the temp file written but nothing
 // renamed (checkpoint crash injection; see Store.SetCheckpointHook).
-func writeSnapshotFile(path string, lsn, count uint64, shards int, emit func(w *bufio.Writer) error, midHook func() error) error {
+func writeSnapshotFile(path string, lsn, count uint64, emit func(w *bufio.Writer) error, midHook func() error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -458,7 +449,7 @@ func writeSnapshotFile(path string, lsn, count uint64, shards int, emit func(w *
 		f.Close()
 		return err
 	}
-	if _, err := w.Write(encodeManifest(lsn, count, shards)); err != nil {
+	if _, err := w.Write(encodeManifest(lsn, count)); err != nil {
 		f.Close()
 		return err
 	}
@@ -493,7 +484,7 @@ func writeSnapshotFile(path string, lsn, count uint64, shards int, emit func(w *
 // a v2 snapshot with a zero-LSN manifest. Callers with a real checkpoint
 // LSN go through the Store checkpointing paths instead.
 func WriteSnapshot(d *DB, path string) error {
-	return writeSnapshotFile(path, 0, uint64(d.Size()), 0, func(w *bufio.Writer) error {
+	return writeSnapshotFile(path, 0, uint64(d.Size()), func(w *bufio.Writer) error {
 		for _, ra := range d.Relations() {
 			for _, row := range d.Tuples(ra.Pred, ra.Arity) {
 				if _, err := w.Write(encodeRecord(true, ra.Pred, ra.Arity, term.KeyOf(row))); err != nil {
@@ -713,7 +704,6 @@ func applyRecords(d *DB, recs []record) error {
 type RecoveryInfo struct {
 	SnapshotLSN     uint64 // manifest LSN of the snapshot booted from (0 if none)
 	SnapshotRecords int    // records loaded from the snapshot
-	SnapshotShards  int    // shard count the snapshot's manifest recorded (0 if none)
 	RecoveredLSN    uint64 // LSN of the recovered head
 	ReplayedRecords int    // op records applied from the WAL suffix
 	SkippedRecords  int    // op records skipped (commits the snapshot covers)
@@ -734,12 +724,6 @@ type Store struct {
 	syncHook func() error             // test-only fault injection; see SetSyncHook
 	ckptHook func(stage string) error // test-only crash injection; see SetCheckpointHook
 
-	// shards is the pinned shard count (0 until PinShards): recorded in
-	// every checkpoint manifest this store writes. snapShards is what the
-	// booted snapshot's manifest recorded (0 for format-2 snapshots).
-	shards     int
-	snapShards int
-
 	ckptMu sync.Mutex // serializes checkpoints and WAL rotations
 }
 
@@ -759,8 +743,8 @@ func OpenStore(snapPath, walPath string, opts ...Option) (*Store, error) {
 	} else {
 		d = New(opts...)
 	}
-	s := &Store{DB: d, snapPath: snapPath, walPath: walPath, lastLSN: man.LSN, snapShards: man.Shards}
-	s.recovery = RecoveryInfo{SnapshotLSN: man.LSN, SnapshotRecords: int(man.Records), SnapshotShards: man.Shards}
+	s := &Store{DB: d, snapPath: snapPath, walPath: walPath, lastLSN: man.LSN}
+	s.recovery = RecoveryInfo{SnapshotLSN: man.LSN, SnapshotRecords: int(man.Records)}
 	if info, err := os.Stat(walPath); err == nil && info.Size() > 0 {
 		if info.Size() < int64(len(walMagic)) {
 			// A crash during first-ever creation tore the magic; the file
@@ -802,40 +786,12 @@ func OpenStore(snapPath, walPath string, opts ...Option) (*Store, error) {
 // after open.
 func (s *Store) Recovery() RecoveryInfo { return s.recovery }
 
-// PinShards declares the shard count the store is being served under. Every
-// checkpoint written from now on records it in the manifest (format v3),
-// and reopening a store whose snapshot was checkpointed under a different
-// count is refused: the shard partition is rebuilt at boot from the
-// recovered state, but per-shard artifacts derived from the old partition
-// (commit-lane metrics, lane-tagged clients) would silently change meaning.
-// Stores opened by non-server tools never pin and are not checked.
-func (s *Store) PinShards(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snapShards > 0 && s.snapShards != n {
-		return fmt.Errorf("db: store %s was checkpointed with -store.shards=%d; reopening with -store.shards=%d would repartition the commit lanes — restart with -store.shards=%d (or delete the snapshot to rebuild)",
-			s.snapPath, s.snapShards, n, s.snapShards)
-	}
-	s.shards = n
-	return nil
-}
-
-// Shards returns the pinned shard count (0 if PinShards was never called).
-func (s *Store) Shards() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shards
-}
-
 // DetachDB hands the store's live database to the caller and detaches it:
 // from now on the store is WAL-and-checkpoint machinery only. ApplyCommit
-// becomes a pure log append (the caller owns applying ops to its own
-// partitioned heads), and checkpoints must come through CheckpointFrom
-// with a frozen view. The sharded server detaches at boot — the store's
-// monolithic DB would otherwise be a second, dead copy of the shard heads.
+// becomes a pure log append (the caller owns applying ops to its own head),
+// and checkpoints must come through CheckpointFrom with a frozen view. The
+// server detaches at boot: it applies under its own commit lock, in memory
+// and durable mode alike.
 func (s *Store) DetachDB() *DB {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1048,7 +1004,7 @@ func (s *Store) Checkpoint() error {
 	if _, err := s.wal.Sync(); err != nil {
 		return err
 	}
-	err := writeSnapshotFile(s.snapPath, s.lastLSN, uint64(s.DB.Size()), s.shards, func(w *bufio.Writer) error {
+	err := writeSnapshotFile(s.snapPath, s.lastLSN, uint64(s.DB.Size()), func(w *bufio.Writer) error {
 		for _, ra := range s.DB.Relations() {
 			for _, row := range s.DB.Tuples(ra.Pred, ra.Arity) {
 				if _, err := w.Write(encodeRecord(true, ra.Pred, ra.Arity, term.KeyOf(row))); err != nil {
@@ -1087,10 +1043,7 @@ func (s *Store) Checkpoint() error {
 func (s *Store) CheckpointFrom(f FrozenDB, lsn uint64) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	s.mu.Lock()
-	shards := s.shards
-	s.mu.Unlock()
-	err := writeSnapshotFile(s.snapPath, lsn, uint64(f.Size()), shards, func(w *bufio.Writer) error {
+	err := writeSnapshotFile(s.snapPath, lsn, uint64(f.Size()), func(w *bufio.Writer) error {
 		var werr error
 		f.Range(func(pred string, arity int, key string, _ []term.Term) bool {
 			_, werr = w.Write(encodeRecord(true, pred, arity, key))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,18 @@ type deriv struct {
 	// pooled map path points to when the check is live. The failure table
 	// is consulted only while it holds an entry, and a failure's key is
 	// computed when the failure is recorded (see explore).
-	path    map[ckey]bool
-	pathSet map[ckey]bool
+	//
+	// path maps each open configuration to the depth of its explore, and
+	// loopTop is the smallest such depth a path-cycle prune has hit below
+	// the innermost running explore (noLoop: none). A subtree pruned against
+	// an ancestor that is still open above it has not been searched
+	// exhaustively — the ancestor closes, the same configuration is reached
+	// again along another path, and it may succeed — so explore memoizes a
+	// failure only when loopTop is not above its own frame.
+	path    map[ckey]int
+	pathSet map[ckey]int
 	failed  map[ckey]bool
+	loopTop int
 
 	// keyCalls counts configKey calls and explores the explores of an
 	// unfinished configuration; the tests pin the former to zero for
@@ -175,7 +185,7 @@ func newDeriv(e *Engine, d *db.DB, goal ast.Goal) *deriv {
 		dv.reset(d)
 	} else {
 		e.poolMisses.Add(1)
-		dv = &deriv{e: e, d: d, env: term.NewEnv(), ren: term.NewRenamer(e.prog.VarHigh + 1_000_000)}
+		dv = &deriv{e: e, d: d, env: term.NewEnv(), ren: term.NewRenamer(e.prog.VarHigh + 1_000_000), loopTop: noLoop}
 		dv.prn = dv.ren.NewRenaming()
 		if e.opts.Table {
 			dv.failed = make(map[ckey]bool)
@@ -183,7 +193,7 @@ func newDeriv(e *Engine, d *db.DB, goal ast.Goal) *deriv {
 	}
 	if e.opts.LoopCheck && e.mayRecur(goal) {
 		if dv.pathSet == nil {
-			dv.pathSet = make(map[ckey]bool)
+			dv.pathSet = make(map[ckey]int)
 		}
 		dv.path = dv.pathSet
 	}
@@ -238,6 +248,7 @@ func (dv *deriv) reset(d *db.DB) {
 	dv.keyCalls = 0
 	dv.explores = 0
 	dv.path = nil
+	dv.loopTop = noLoop
 	if dv.pathSet != nil {
 		clear(dv.pathSet)
 	}
@@ -402,11 +413,14 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 			return true
 		}
 		if dv.path != nil {
-			if dv.path[key] {
+			if at, open := dv.path[key]; open {
 				dv.loopHits++
+				if at < dv.loopTop {
+					dv.loopTop = at
+				}
 				return true
 			}
-			dv.path[key] = true
+			dv.path[key] = depth
 		}
 	}
 
@@ -423,21 +437,30 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 		}
 		r := emit()
 		if dv.path != nil {
-			dv.path[key] = true
+			dv.path[key] = depth
 		}
 		return r
 	}
 	cutBefore := dv.cutoffs
+	outerTop := dv.loopTop
+	dv.loopTop = noLoop
 	cont := dv.step(g, func(res ast.Goal) ast.Goal { return res }, depth, wrapped)
 	if dv.path != nil {
 		delete(dv.path, key)
 	}
+	// top is the shallowest open configuration a path-cycle prune below
+	// this frame hit; the enclosing frame inherits the minimum.
+	top := dv.loopTop
+	if outerTop < top {
+		dv.loopTop = outerTop
+	}
 	// Memoize failure only for subtrees explored exhaustively: no success
-	// below, no error, and no iterative-deepening cutoff (a deeper
-	// iteration could still succeed from this configuration). cont means
-	// the environment and the database are rolled back to their state at
-	// entry, so a key computed here is the key of the entry configuration.
-	if cont && !emitted && dv.failed != nil && dv.err == nil && dv.cutoffs == cutBefore {
+	// below, no error, no iterative-deepening cutoff (a deeper iteration
+	// could still succeed from this configuration), and no path-cycle prune
+	// against a configuration still open above this frame. cont means the
+	// environment and the database are rolled back to their state at entry,
+	// so a key computed here is the key of the entry configuration.
+	if cont && !emitted && dv.failed != nil && dv.err == nil && dv.cutoffs == cutBefore && top >= depth {
 		failedKey := key
 		if !keyed {
 			failedKey = dv.configKey(g)
@@ -858,6 +881,9 @@ func (dv *deriv) noteConcRebuild(g *ast.Conc, ids []int32, i int, res, ng ast.Go
 		dv.noteSurvivor(ng, ids[i])
 	}
 }
+
+// noLoop is deriv.loopTop's "no path-cycle prune" value: below no depth.
+const noLoop = math.MaxInt
 
 // ckey is a 128-bit configuration key: two independent FNV-1a streams over
 // the canonical serialization of (goal, database fingerprint).

@@ -173,3 +173,38 @@ func TestTransactionAllocCeilings(t *testing.T) {
 		}
 	}
 }
+
+// A search that a path-cycle prune cut short against a still-open ancestor
+// has not failed: once that ancestor closes, the same configuration can
+// succeed from elsewhere. The failure memo must not record it, so on cyclic
+// data it returns the untabled search's answers. On the reach chain with the
+// cycle n4 → n5 → n6 → n4 closed, the memo used to turn 15 answers over 8
+// bindings into 10 over 7, losing X = n3; on the three-node cycle of
+// loopTerminatedSrc, 16 into 11.
+func TestFailureMemoKeepsAnswersOnCyclicData(t *testing.T) {
+	for _, c := range []struct {
+		src, goal         string
+		answers, distinct int
+	}{
+		{reachChainSrc + "edge(n6, n4).\n", "reach(X, n8)", 15, 8},
+		{loopTerminatedSrc, "path(X, Y)", 16, 12},
+	} {
+		prog := parser.MustParse(c.src)
+		g := parser.MustParseGoal(c.goal, 1000)
+		noMemo := DefaultOptions()
+		noMemo.Table = false
+		want, _ := planSolutions(t, New(prog, noMemo), prog, g)
+		got, _ := planSolutions(t, New(prog, DefaultOptions()), prog, g)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s with the failure memo:\n got %d: %v\nwant %d: %v", c.goal, len(got), got, len(want), want)
+		}
+		distinct := map[string]bool{}
+		for _, s := range want {
+			distinct[s] = true
+		}
+		if len(want) != c.answers || len(distinct) != c.distinct {
+			t.Errorf("%s: untabled search found %d answers over %d bindings, want %d over %d",
+				c.goal, len(want), len(distinct), c.answers, c.distinct)
+		}
+	}
+}

@@ -508,8 +508,8 @@ type memoFill struct {
 	rels []memoFillRel
 	// failed is the fill's own failure table (nil while the failure memo
 	// is off); savedPath and savedFailed are the enclosing search's tables.
-	failed                 map[ckey]bool
-	savedPath, savedFailed map[ckey]bool
+	failed, savedFailed map[ckey]bool
+	savedPath           map[ckey]int
 }
 
 // memoFillRel counts one relation's tuple- and bucket-level observations in
@@ -596,7 +596,7 @@ func (dv *deriv) beginFill() *memoFill {
 	f.deps, f.rels = f.deps[:0], f.rels[:0]
 	f.savedPath, f.savedFailed = dv.path, dv.failed
 	if dv.path != nil {
-		dv.path = make(map[ckey]bool)
+		dv.path = make(map[ckey]int)
 	}
 	if dv.failed != nil {
 		if f.failed == nil {

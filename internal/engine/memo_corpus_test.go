@@ -224,11 +224,9 @@ raise(B) :- alarm(B), ins.flagged(B).
 // it should not have shows up as a stale answer here.
 //
 // One restriction, which is not about writes: an update that would close a
-// cycle in an edge relation is redrawn. On cyclic data the untabled engine
-// is no oracle — its failure memo records failures that a path-cycle prune
-// caused and then drops answers (reach(X, n8) loses X = n3 once edge(n6, n4)
-// exists; ROADMAP, the tabling-names item) — and a recursive tabled
-// predicate returns other multiplicities, since a fill starts a fresh path.
+// cycle in an edge relation is redrawn. On cyclic data a recursive tabled
+// predicate returns other multiplicities than untabled search, since a fill
+// starts a fresh path (ROADMAP, the tabling item).
 func TestMemoDifferentialCorpusUnderWrites(t *testing.T) {
 	const rounds, restart = 200, 40
 	type subject struct {

@@ -93,7 +93,11 @@ func E4Simulation(cfg Config) Report {
 	fit := complexity.FitGrowth(series)
 	r.Tables = append(r.Tables, complexity.SeriesTable(series))
 	r.Notes = append(r.Notes, "fit: "+fit.Classify())
-	if !fit.LooksPolynomial() || fit.PolyDegree > 1.7 {
+	// The claim is bounded work per item: a log-log slope near 1. There is
+	// no polynomial-vs-exponential contest here — the simulator's op counts
+	// depend on goroutine scheduling, and over quick mode's three sizes the
+	// two models' R² are too close for that noise not to flip the winner.
+	if fit.PolyDegree > 1.7 {
 		r.Pass = false
 		r.Notes = append(r.Notes, "expected ~linear scaling in item count")
 	}

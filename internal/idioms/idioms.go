@@ -57,11 +57,16 @@ func Mutex(name string) string {
 // Implementation: arrivals accumulate as tuples; the barrier opens when
 // the k-th arrival inserts the open flag, which every waiter's final query
 // blocks on. Counting is by chaining: arrival i consumes slot i and
-// releases slot i+1; slot k+1 opens the barrier.
+// releases slot i+1; slot k+1 opens the barrier. The slot tuple is a token:
+// between del.slot(S) and ins.slot(T) no other party can arrive, and the
+// arrival marker is written inside that critical section — written after
+// it, the last arriver could open the barrier before a slower party's
+// marker landed. The query and delete of the slot stay first: they are the
+// rule's guard.
 func Barrier(name string, k int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%% barrier %s(%d)\n", name, k)
-	fmt.Fprintf(&b, "%s_arrive(Id) :- %s_slot(S), del.%s_slot(S), add(S, 1, T), ins.%s_slot(T), ins.%s_arrived(Id), %s_wait(S).\n",
+	fmt.Fprintf(&b, "%s_arrive(Id) :- %s_slot(S), del.%s_slot(S), ins.%s_arrived(Id), add(S, 1, T), ins.%s_slot(T), %s_wait(S).\n",
 		name, name, name, name, name, name)
 	fmt.Fprintf(&b, "%s_wait(S) :- S >= %d, ins.%s_open.\n", name, k, name)
 	fmt.Fprintf(&b, "%s_wait(S) :- S < %d, %s_open.\n", name, k, name)

@@ -253,13 +253,9 @@ func (r *Registry) GaugeFunc(family, help string, fn func() int64) {
 	r.add(&series{family: family, help: help, kind: kindGaugeFunc, fn: fn})
 }
 
-// GaugeFuncF registers a float-valued gauge read from fn at scrape time —
-// for ratios and fractions, which the integer instruments cannot express.
-func (r *Registry) GaugeFuncF(family, help string, fn func() float64) {
-	r.add(&series{family: family, help: help, kind: kindGaugeFuncF, fnf: fn})
-}
-
-// GaugeFuncFL is GaugeFuncF with a rendered label set.
+// GaugeFuncFL registers a float-valued gauge with a rendered label set, read
+// from fn at scrape time — for ratios and fractions, which the integer
+// instruments cannot express.
 func (r *Registry) GaugeFuncFL(family, help, labels string, fn func() float64) {
 	r.add(&series{family: family, labels: labels, help: help, kind: kindGaugeFuncF, fnf: fn})
 }

@@ -226,7 +226,7 @@ func TestRegistryCollisions(t *testing.T) {
 	// Float and int gauges share the "gauge" type.
 	r.Gauge("td_z", "level")
 	mustPanic(t, "float gauge duplicate series", func() {
-		r.GaugeFuncF("td_z", "level", func() float64 { return 0 })
+		r.GaugeFuncFL("td_z", "level", "", func() float64 { return 0 })
 	})
 	r.GaugeFuncFL("td_z", "level", `kind="f"`, func() float64 { return 0.5 })
 }

@@ -9,20 +9,18 @@ import "encoding/json"
 // distinguishes the two line shapes, and span lines — whose top-level keys
 // never include "event" — are skipped by wide-event readers.
 type WideEvent struct {
-	Event      string           `json:"event"` // always "txn"
-	Trace      uint64           `json:"trace,omitempty"`
-	Session    uint64           `json:"session,omitempty"`
-	Verb       string           `json:"verb,omitempty"`
-	Goal       string           `json:"goal,omitempty"`
-	LSN        uint64           `json:"lsn,omitempty"`
-	Retries    int              `json:"retries,omitempty"`  // OCC rounds lost before this commit
-	Conflict   string           `json:"conflict,omitempty"` // cause of the last lost round
-	Lanes      []int            `json:"lanes,omitempty"`    // commit lanes touched
-	CrossShard bool             `json:"cross_shard,omitempty"`
-	Ops        int              `json:"ops,omitempty"`   // write-set size (net ops)
-	Batch      int64            `json:"batch,omitempty"` // commits covered by the fsync that acked us
-	StageUs    map[string]int64 `json:"stage_us,omitempty"`
-	TotalUs    int64            `json:"total_us,omitempty"`
+	Event    string           `json:"event"` // always "txn"
+	Trace    uint64           `json:"trace,omitempty"`
+	Session  uint64           `json:"session,omitempty"`
+	Verb     string           `json:"verb,omitempty"`
+	Goal     string           `json:"goal,omitempty"`
+	LSN      uint64           `json:"lsn,omitempty"`
+	Retries  int              `json:"retries,omitempty"`  // OCC rounds lost before this commit
+	Conflict string           `json:"conflict,omitempty"` // cause of the last lost round
+	Ops      int              `json:"ops,omitempty"`      // write-set size (net ops)
+	Batch    int64            `json:"batch,omitempty"`    // commits covered by the fsync that acked us
+	StageUs  map[string]int64 `json:"stage_us,omitempty"`
+	TotalUs  int64            `json:"total_us,omitempty"`
 	// MemoHits and MemoMisses count tabled-call answer replays and memo
 	// fills by the transaction's final proof attempt (0 on untabled
 	// sessions, so pre-tabling readers see unchanged lines).

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/db"
@@ -10,16 +9,15 @@ import (
 )
 
 // Allocation regression guards for the commit critical section. Everything
-// here runs under a lane lock on every commit, so per-commit garbage
-// directly serializes that lane's pipeline.
+// here runs under the commit lock on every commit, so per-commit garbage
+// directly serializes the pipeline.
 
-// pruneShardLocked must not copy the lane's commit log on the steady-state
-// path: with a laggard session pinning the window, appending a record and
-// pruning advances the live-window offset in place. (The amortized
-// compaction copy is excluded by keeping the dead prefix below its
-// threshold.)
-func TestPruneShardLockedAllocs(t *testing.T) {
-	s, err := New(Options{StoreShards: 1})
+// pruneLogLocked must not copy the commit log on the steady-state path: with
+// a laggard session pinning the window, appending a record and pruning
+// advances the live-window offset in place. (The amortized compaction copy
+// is excluded by keeping the dead prefix below its threshold.)
+func TestPruneLogLockedAllocs(t *testing.T) {
+	s, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,33 +25,32 @@ func TestPruneShardLockedAllocs(t *testing.T) {
 
 	// One laggard keeps an 8-entry live window so pruning never empties
 	// the log, and the clog has capacity to append without growing.
-	laggard := &session{srv: s, applied: make([]atomic.Uint64, s.nshards)}
+	laggard := &session{srv: s}
 	s.mu.Lock()
 	s.sessions[laggard] = struct{}{}
 	s.mu.Unlock()
 	ops := []db.Op{{Insert: true, Pred: "p", Row: []term.Term{term.NewInt(1)}}}
 
-	sh := s.shards[0]
-	sh.mu.Lock()
-	sh.clog = make([]commitRecord, 0, 4096)
-	next := sh.version.Load()
+	s.commitMu.Lock()
+	s.clog = make([]commitRecord, 0, 4096)
+	next := s.version.Load()
 	n := testing.AllocsPerRun(500, func() {
 		next++
-		sh.version.Store(next)
-		sh.clog = append(sh.clog, commitRecord{version: next, ops: ops})
+		s.version.Store(next)
+		s.clog = append(s.clog, commitRecord{version: next, ops: ops})
 		if next > 8 {
-			laggard.applied[0].Store(next - 8)
+			laggard.version.Store(next - 8)
 		}
-		s.pruneShardLocked(sh)
-		if len(sh.clog) == cap(sh.clog) {
+		s.pruneLogLocked()
+		if len(s.clog) == cap(s.clog) {
 			// Reset before append would reallocate; not counted as the
 			// steady state under test.
-			live := sh.clog[sh.clogLo:]
-			sh.clog = sh.clog[:copy(sh.clog[:cap(sh.clog)], live)]
-			sh.clogLo = 0
+			live := s.clog[s.clogLo:]
+			s.clog = s.clog[:copy(s.clog[:cap(s.clog)], live)]
+			s.clogLo = 0
 		}
 	})
-	sh.mu.Unlock()
+	s.commitMu.Unlock()
 	s.mu.Lock()
 	delete(s.sessions, laggard) // it has no conn for Close to close
 	s.mu.Unlock()
@@ -74,7 +71,7 @@ func TestReadObservationAllocs(t *testing.T) {
 		d.Insert("account", rows[i])
 	}
 	d.ResetTrail()
-	rs := newReadSet(4)
+	rs := newReadSet()
 	d.SetReadHook(rs.observe)
 	env := term.NewEnv()
 	txn := func() {
@@ -96,18 +93,17 @@ func TestReadObservationAllocs(t *testing.T) {
 }
 
 // Conflict-keying a write set builds no strings: one slice of fixed-size
-// keys for a write set that lands in one lane.
-func TestNewCommitIntentAllocs(t *testing.T) {
+// keys.
+func TestNewCommitRecordAllocs(t *testing.T) {
 	ops := make([]db.Op, 7)
 	for i := range ops {
 		ops[i] = db.Op{Insert: true, Pred: fmt.Sprintf("done_%d", i), Row: []term.Term{term.NewInt(42)}}
 	}
-	rs := newReadSet(1)
-	var in commitIntent
-	if n := testing.AllocsPerRun(200, func() { in = newCommitIntent(1, rs, ops) }); n > 3 {
-		t.Errorf("newCommitIntent, single lane: %v allocs/op, want <= 3", n)
+	var rec commitRecord
+	if n := testing.AllocsPerRun(200, func() { rec = newCommitRecord(ops) }); n > 1 {
+		t.Errorf("newCommitRecord: %v allocs/op, want <= 1", n)
 	}
-	if len(in.rec.writes) != len(ops) || in.shardOps != nil {
-		t.Fatalf("intent keys %d of %d ops, split = %v", len(in.rec.writes), len(ops), in.shardOps != nil)
+	if len(rec.writes) != len(ops) {
+		t.Fatalf("record keys %d of %d ops", len(rec.writes), len(ops))
 	}
 }

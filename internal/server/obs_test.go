@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -49,40 +50,68 @@ func TestStatsAllocationBounded(t *testing.T) {
 
 // --- wire compatibility ---------------------------------------------------
 
-// goldenPR1Stats is a STATS payload captured from the PR-1 server. Decoding
-// it with today's StatsSnapshot must populate every original field: renaming
-// or retyping any PR-1 key is a wire break.
-const goldenPR1Stats = `{
+// goldenStats is one STATS frame of the current schema with every key
+// present. TestStatsSnapshotWireCompat decodes it and re-encodes it: a key
+// that is renamed, retyped or dropped from StatsSnapshot does not survive
+// the round trip.
+const goldenStats = `{
 	"sessions_open": 3, "sessions_total": 17, "rejected": 2,
 	"txns_begun": 120, "commits": 100, "aborts": 11, "conflicts": 9,
 	"retries": 14, "no_proof": 5, "budget_hits": 1,
 	"version": 100, "db_size": 42, "wal_bytes": 8192,
-	"commit_p50_us": 250, "commit_p99_us": 4000, "uptime_ms": 60000
+	"commit_p50_us": 250, "commit_p99_us": 4000, "uptime_ms": 60000,
+	"conflict_causes": {"read_write": 8, "stale_replica": 1},
+	"verb_p99_us": {"EXEC": 4100, "QUERY": 300},
+	"fsync_p99_us": 3000, "fsyncs": 60, "slow_txns": 2,
+	"engine_steps": 5000, "engine_unifications": 7000, "engine_table_hits": 40,
+	"db_lookups": 900, "db_index_hits": 800, "db_scans": 30,
+	"db_order_rebuilds": 4, "delta_ops": 210,
+	"vet_rejects": 1,
+	"group_commits": 55, "commit_batch_p99": 8,
+	"checkpoints": 4, "checkpoint_p99_us": 1500, "recovery_replayed_records": 7,
+	"cross_shard_commits": 10,
+	"stage_p50_us": {"parse": 12, "prove": 180, "lane_wait": 1, "fsync_wait": 900},
+	"stage_p99_us": {"parse": 30, "prove": 2100, "lane_wait": 40, "fsync_wait": 4000},
+	"prover_profile": {"transfer": {"calls": 40, "fanout": 80, "time_us": 1500}},
+	"slos": [{"name": "commit", "threshold_us": 5000, "objective": 0.999,
+	          "good": 99, "total": 100, "burn_rate": 10}],
+	"plan_reorders": 3, "plan_hits": 120, "plan_tabling_eligible": 2,
+	"memo_hits": 40, "memo_misses": 6, "memo_invalidations": 2,
+	"memo_evictions": 1, "memo_bytes": 4096, "memo_entries": 5,
+	"memo_preds": [{"pred": "reach/2", "hits": 38, "misses": 4}]
 }`
+
+// statsBaseKeys are the keys every STATS frame carries; every other key is
+// omitted while its value is zero.
+var statsBaseKeys = []string{
+	"sessions_open", "sessions_total", "rejected", "txns_begun",
+	"commits", "aborts", "conflicts", "retries", "no_proof",
+	"budget_hits", "version", "db_size", "wal_bytes",
+	"commit_p50_us", "commit_p99_us", "uptime_ms",
+}
 
 func TestStatsSnapshotWireCompat(t *testing.T) {
 	var snap StatsSnapshot
-	if err := json.Unmarshal([]byte(goldenPR1Stats), &snap); err != nil {
-		t.Fatalf("golden PR-1 payload no longer decodes: %v", err)
+	if err := json.Unmarshal([]byte(goldenStats), &snap); err != nil {
+		t.Fatalf("golden payload no longer decodes: %v", err)
 	}
-	if snap.SessionsOpen != 3 || snap.SessionsTotal != 17 || snap.Rejected != 2 ||
-		snap.TxnsBegun != 120 || snap.Commits != 100 || snap.Aborts != 11 ||
-		snap.Conflicts != 9 || snap.Retries != 14 || snap.NoProof != 5 ||
-		snap.BudgetHits != 1 || snap.Version != 100 || snap.DBSize != 42 ||
-		snap.WALBytes != 8192 || snap.CommitP50Us != 250 ||
-		snap.CommitP99Us != 4000 || snap.UptimeMs != 60000 {
-		t.Fatalf("PR-1 fields decoded wrong: %+v", snap)
+	body, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got map[string]any
+	if err := json.Unmarshal([]byte(goldenStats), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("golden frame did not survive decode + re-encode:\n got %v\nwant %v", got, want)
 	}
 
-	// The reverse direction: a PR-1 client decoding a current snapshot must
-	// still find every key it knows, under the original name.
-	s := newBankServer(t, Options{})
-	c := s.InProcClient()
-	defer c.Close()
-	if _, err := c.Exec("transfer(5, a, b)"); err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	body, err := json.Marshal(s.Stats())
+	// A zero snapshot puts exactly the base keys on the wire.
+	body, err = json.Marshal(StatsSnapshot{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,53 +119,18 @@ func TestStatsSnapshotWireCompat(t *testing.T) {
 	if err := json.Unmarshal(body, &wire); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{
-		"sessions_open", "sessions_total", "rejected", "txns_begun",
-		"commits", "aborts", "conflicts", "retries", "no_proof",
-		"budget_hits", "version", "db_size", "wal_bytes",
-		"commit_p50_us", "commit_p99_us", "uptime_ms",
-	} {
+	if len(wire) != len(statsBaseKeys) {
+		t.Errorf("zero snapshot has %d keys on the wire, want the %d base keys:\n%s", len(wire), len(statsBaseKeys), body)
+	}
+	for _, key := range statsBaseKeys {
 		if _, ok := wire[key]; !ok {
-			t.Errorf("current snapshot dropped PR-1 key %q", key)
+			t.Errorf("zero snapshot dropped base key %q", key)
 		}
 	}
 }
 
-// goldenPR6Stats extends the golden frame with the history-subsystem keys
-// (PR 6). They ride the same payload, omitted when zero, so PR-1 clients
-// never see them and newer clients decode them by name.
-const goldenPR6Stats = `{
-	"commits": 100, "version": 100,
-	"checkpoints": 4, "checkpoint_p99_us": 1500,
-	"recovery_replayed_records": 7
-}`
-
+// The history keys ride the STATS frame of a server that checkpointed.
 func TestStatsSnapshotHistoryKeys(t *testing.T) {
-	var snap StatsSnapshot
-	if err := json.Unmarshal([]byte(goldenPR6Stats), &snap); err != nil {
-		t.Fatalf("golden PR-6 payload no longer decodes: %v", err)
-	}
-	if snap.Checkpoints != 4 || snap.CheckpointP99Us != 1500 || snap.RecoveryReplayed != 7 {
-		t.Fatalf("PR-6 fields decoded wrong: %+v", snap)
-	}
-
-	// Zero history counters stay off the wire (an in-memory server that
-	// never checkpointed emits a frame byte-identical to the pre-PR-6 one).
-	body, err := json.Marshal(StatsSnapshot{Commits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire map[string]any
-	if err := json.Unmarshal(body, &wire); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"checkpoints", "checkpoint_p99_us", "recovery_replayed_records"} {
-		if _, ok := wire[key]; ok {
-			t.Errorf("zero-valued history key %q leaked onto the wire", key)
-		}
-	}
-
-	// And a server that did checkpoint reports them.
 	s := newBankServer(t, Options{
 		SnapshotPath: t.TempDir() + "/td.snap",
 		WALPath:      t.TempDir() + "/td.wal",
@@ -153,11 +147,11 @@ func TestStatsSnapshotHistoryKeys(t *testing.T) {
 	if st.Checkpoints != 1 {
 		t.Fatalf("Stats.Checkpoints = %d, want 1", st.Checkpoints)
 	}
-	body, err = json.Marshal(st)
+	body, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire = map[string]any{}
+	var wire map[string]any
 	if err := json.Unmarshal(body, &wire); err != nil {
 		t.Fatal(err)
 	}
@@ -351,102 +345,5 @@ func TestConflictCauseClassification(t *testing.T) {
 	}
 	if snap.Conflicts < 1 {
 		t.Errorf("conflicts = %d, want >= 1", snap.Conflicts)
-	}
-}
-
-// goldenPR7Stats extends the golden frame with the sharded-store keys
-// (PR 7). Like every addition since PR 3 they are new names only, omitted
-// when zero, so pre-sharding clients keep decoding payloads unchanged and
-// single-lane servers keep emitting the pre-PR-7 frame byte for byte.
-const goldenPR7Stats = `{
-	"commits": 50, "version": 50,
-	"shards": 8,
-	"shard_commits": [9, 5, 7, 6, 4, 8, 6, 5],
-	"cross_shard_commits": 10,
-	"cross_shard_fraction": 0.2
-}`
-
-func TestStatsSnapshotShardKeys(t *testing.T) {
-	var snap StatsSnapshot
-	if err := json.Unmarshal([]byte(goldenPR7Stats), &snap); err != nil {
-		t.Fatalf("golden PR-7 payload no longer decodes: %v", err)
-	}
-	if snap.Shards != 8 || len(snap.ShardCommits) != 8 ||
-		snap.CrossShardCommits != 10 || snap.CrossShardFraction != 0.2 {
-		t.Fatalf("PR-7 fields decoded wrong: %+v", snap)
-	}
-
-	// Zero shard fields stay off the wire: a single-lane server's frame is
-	// byte-identical to the pre-sharding one.
-	body, err := json.Marshal(StatsSnapshot{Commits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire map[string]any
-	if err := json.Unmarshal(body, &wire); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"shards", "shard_commits", "cross_shard_commits", "cross_shard_fraction"} {
-		if _, ok := wire[key]; ok {
-			t.Errorf("zero-valued shard key %q leaked onto the wire", key)
-		}
-	}
-	s1 := newBankServer(t, Options{StoreShards: 1})
-	c1 := s1.InProcClient()
-	defer c1.Close()
-	if _, err := c1.Exec("transfer(1, a, b)"); err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	body, err = json.Marshal(s1.Stats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(body), "shard") {
-		t.Errorf("single-lane STATS frame mentions shards:\n%s", body)
-	}
-
-	// A sharded server reports all four, and the lane counters sum to the
-	// commit count for a single-lane-write workload.
-	s := newBankServer(t, Options{StoreShards: 4})
-	c := s.InProcClient()
-	defer c.Close()
-	if _, err := c.Exec("transfer(1, a, b)"); err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	st := s.Stats()
-	if st.Shards != 4 || len(st.ShardCommits) != 4 {
-		t.Fatalf("sharded stats = %+v, want 4 lanes", st)
-	}
-	var lanes int64
-	for _, n := range st.ShardCommits {
-		lanes += n
-	}
-	if lanes == 0 {
-		t.Error("no lane recorded the commit")
-	}
-}
-
-// The per-lane metric series exist (with the lane label) on a sharded
-// server, alongside the cross-shard counter and fraction gauge.
-func TestMetricsEndpointShardSeries(t *testing.T) {
-	s := newBankServer(t, Options{StoreShards: 2})
-	c := s.InProcClient()
-	defer c.Close()
-	if _, err := c.Exec("transfer(10, a, b)"); err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	rec := httptest.NewRecorder()
-	obs.Handler(s.Metrics()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	for _, want := range []string{
-		"# TYPE td_shard_commits_total counter",
-		`td_shard_commits_total{shard="0"}`,
-		`td_shard_commits_total{shard="1"}`,
-		"# TYPE td_cross_shard_commits_total counter",
-		"# TYPE td_cross_shard_fraction gauge",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q\n----\n%s", want, body)
-		}
 	}
 }

@@ -29,23 +29,12 @@ package server
 // a replayed answer observes what its fill observed and the read set of a
 // transaction does not depend on whether the table answered.
 //
-// With a sharded store, every observation is additionally tagged with the
-// commit lane (db.ShardOf) the observed tuples live in: key and prefix
-// reads name exactly one shard (the shard is a function of predicate and
-// first-argument code, which both carry), relation- and predicate-level
-// reads touch every shard. The resulting shard mask is what lets commit
-// validate against only the lanes the transaction actually touched.
-//
 // Observations and committed writes meet as db.Key128 fingerprints derived
 // from interned term codes — no key string is built on either side. Equal
 // tuples always have equal keys, so a conflict is never missed; a collision
 // between distinct tuples can only cost a spurious retry.
 
-import (
-	"math/bits"
-
-	"repro/internal/db"
-)
+import "repro/internal/db"
 
 // readSet accumulates one transaction's read observations.
 type readSet struct {
@@ -53,27 +42,15 @@ type readSet struct {
 	rels     map[db.Key128]struct{} // relation: full scans
 	prefixes map[db.Key128]struct{} // (relation, first argument): index-bucket scans
 	keys     map[db.Key128]struct{} // tuple: ground probes and updates
-	nshards  int                    // shard count observations are tagged against
-	mask     uint64                 // shards touched by the observations so far
 }
 
-func newReadSet(nshards int) *readSet {
+func newReadSet() *readSet {
 	return &readSet{
 		preds:    make(map[db.Key128]struct{}),
 		rels:     make(map[db.Key128]struct{}),
 		prefixes: make(map[db.Key128]struct{}),
 		keys:     make(map[db.Key128]struct{}),
-		nshards:  nshards,
 	}
-}
-
-// allShards is the mask of every shard — what a relation- or
-// predicate-level read must be assumed to touch.
-func allShards(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(n) - 1
 }
 
 // reset empties the read set for reuse, keeping the map storage. Sessions
@@ -84,26 +61,21 @@ func (rs *readSet) reset() *readSet {
 	clear(rs.rels)
 	clear(rs.prefixes)
 	clear(rs.keys)
-	rs.mask = 0
 	return rs
 }
 
 // observe is the db.ReadHook target. It runs for every read of every
 // explored path: a set insert of a fixed-size key, nothing built.
-func (rs *readSet) observe(kind db.ReadKind, pred string, _ int, key db.Key128, first uint64) {
+func (rs *readSet) observe(kind db.ReadKind, _ string, _ int, key db.Key128, _ uint64) {
 	switch kind {
 	case db.ReadKey:
 		rs.keys[key] = struct{}{}
-		rs.mask |= 1 << uint(db.ShardOf(rs.nshards, pred, first))
 	case db.ReadPrefix:
 		rs.prefixes[key] = struct{}{}
-		rs.mask |= 1 << uint(db.ShardOf(rs.nshards, pred, first))
 	case db.ReadRel:
 		rs.rels[key] = struct{}{}
-		rs.mask = allShards(rs.nshards)
 	case db.ReadPred:
 		rs.preds[key] = struct{}{}
-		rs.mask = allShards(rs.nshards)
 	}
 }
 
@@ -112,30 +84,29 @@ func (rs *readSet) size() int {
 }
 
 // wkey is one committed write, pre-keyed for validation at every read
-// granularity (db.Op.ConflictKeys) and tagged with the commit lane its
-// tuple lives in.
+// granularity (db.Op.ConflictKeys).
 type wkey struct {
 	pred, rel, prefix, key db.Key128
-	shard                  int // db.ShardOf(pred, first-arg code)
 }
 
-// commitRecord is one entry of a shard's in-memory commit log: the (lane's
-// slice of the) write set of a committed transaction, at a version, with
-// pre-computed conflict keys; writes[i] keys ops[i]. Records are immutable
-// once appended to a log — commit validation scans a snapshot of the log
-// with the lane lock released.
+// commitRecord is one entry of the in-memory commit log: the write set of a
+// committed transaction, at a version, with pre-computed conflict keys;
+// writes[i] keys ops[i]. Records are immutable once appended to the log —
+// commit validation scans a snapshot of the log with the commit lock
+// released.
 type commitRecord struct {
 	version uint64
 	ops     []db.Op
 	writes  []wkey
 }
 
-func newCommitRecord(nshards int, version uint64, ops []db.Op) commitRecord {
-	rec := commitRecord{version: version, ops: ops, writes: make([]wkey, len(ops))}
+// newCommitRecord keys a write set for validation. The version is stamped
+// when the commit is sequenced.
+func newCommitRecord(ops []db.Op) commitRecord {
+	rec := commitRecord{ops: ops, writes: make([]wkey, len(ops))}
 	for i := range ops {
 		w := &rec.writes[i]
 		w.pred, w.rel, w.prefix, w.key = ops[i].ConflictKeys()
-		w.shard = db.OpShard(nshards, &ops[i])
 	}
 	return rec
 }
@@ -161,42 +132,3 @@ func (rec *commitRecord) conflictsWith(rs *readSet) int {
 	}
 	return -1
 }
-
-// commitIntent is a transaction's write set prepared for the sharded
-// commit path: the full conflict-keyed record, the masks of shards its
-// reads and writes touch, and — only when the writes span more than one
-// lane — the per-shard slices of the ops and keys. Built outside every
-// lock.
-type commitIntent struct {
-	rec       commitRecord
-	writeMask uint64 // shards the write set lands in
-	mask      uint64 // writeMask | read mask: every lane to lock
-	// Per-lane splits, nil for the (common) single-write-shard case, where
-	// rec itself is the one lane's record.
-	shardOps    [][]db.Op
-	shardWrites [][]wkey
-}
-
-func newCommitIntent(nshards int, rs *readSet, ops []db.Op) commitIntent {
-	in := commitIntent{rec: newCommitRecord(nshards, 0, ops)}
-	for i := range in.rec.writes {
-		in.writeMask |= 1 << uint(in.rec.writes[i].shard)
-	}
-	in.mask = in.writeMask | rs.mask
-	if in.mask == 0 {
-		in.mask = 1 // defensive: a commit with no reads or writes still sequences through lane 0
-	}
-	if bits.OnesCount64(in.writeMask) > 1 {
-		in.shardOps = make([][]db.Op, nshards)
-		in.shardWrites = make([][]wkey, nshards)
-		for i := range ops {
-			sh := in.rec.writes[i].shard
-			in.shardOps[sh] = append(in.shardOps[sh], ops[i])
-			in.shardWrites[sh] = append(in.shardWrites[sh], in.rec.writes[i])
-		}
-	}
-	return in
-}
-
-// crossShard reports whether the transaction's touch-set spans lanes.
-func (in *commitIntent) crossShard() bool { return bits.OnesCount64(in.mask) > 1 }

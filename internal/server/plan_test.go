@@ -75,50 +75,15 @@ func TestPlanVerb(t *testing.T) {
 
 // --- STATS wire compatibility ----------------------------------------------
 
-// goldenPR9Stats extends the golden frame with the planner keys (PR 9).
-// As with every addition since PR 3 they are new names only, omitted when
-// zero, so pre-PR-9 clients keep decoding payloads unchanged and NoPlan
-// servers keep emitting the old frame.
-const goldenPR9Stats = `{
-	"commits": 10, "version": 10,
-	"plan_reorders": 3,
-	"plan_hits": 120,
-	"plan_tabling_eligible": 2
-}`
-
+// A NoPlan server never mentions the planner in STATS.
 func TestStatsSnapshotPlanKeys(t *testing.T) {
-	var snap StatsSnapshot
-	if err := json.Unmarshal([]byte(goldenPR9Stats), &snap); err != nil {
-		t.Fatalf("golden PR-9 payload no longer decodes: %v", err)
-	}
-	if snap.PlanReorders != 3 || snap.PlanHits != 120 || snap.PlanTablingEligible != 2 {
-		t.Fatalf("PR-9 fields decoded wrong: %+v", snap)
-	}
-
-	// Zero-valued planner keys stay off the wire.
-	body, err := json.Marshal(StatsSnapshot{Commits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire map[string]any
-	if err := json.Unmarshal(body, &wire); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"plan_reorders", "plan_hits", "plan_tabling_eligible"} {
-		if _, ok := wire[key]; ok {
-			t.Errorf("zero-valued PR-9 key %q leaked onto the wire", key)
-		}
-	}
-
-	// A NoPlan server never mentions the planner in STATS: the pre-PR-9
-	// frame, byte for byte.
 	s := newBankServer(t, Options{NoPlan: true})
 	c := s.InProcClient()
 	defer c.Close()
 	if _, err := c.Exec("transfer(1, a, b)"); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	body, err = json.Marshal(s.Stats())
+	body, err := json.Marshal(s.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/bits"
 	"net"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,17 +96,6 @@ type Options struct {
 	// for ASOF reads and CHANGES deltas. Default 256; negative disables
 	// retention (only the current version is addressable).
 	HistoryWindow int
-	// StoreShards partitions the live store and the OCC machinery into this
-	// many commit lanes (keyed by predicate, refined by first-argument
-	// hash), each with its own apply lock, version counter, and commit-log
-	// window. Transactions touching disjoint lanes validate and apply in
-	// parallel; cross-lane transactions take every touched lane's lock in
-	// index order. Durability is unaffected: all lanes feed one WAL and one
-	// group-commit flusher. Default GOMAXPROCS, clamped to [1, 64]; 1
-	// reproduces the unsharded behavior exactly. Durable stores pin the
-	// count in their checkpoint manifests and refuse to reopen under a
-	// different one.
-	StoreShards int
 	// StageSample enables stage-level latency attribution on every Nth
 	// transaction per session: the sampled transaction carries a stage
 	// clock from parse to acknowledgment, feeding the
@@ -118,8 +104,8 @@ type Options struct {
 	// WideSink without a sample rate implies 1 (every transaction).
 	StageSample int
 	// WideSink receives one "wide event" per sampled transaction: the
-	// canonical log line carrying the verb, goal, LSN, retries, touched
-	// lanes, conflict cause, fsync batch size, and all stage timings.
+	// canonical log line carrying the verb, goal, LSN, retries, conflict
+	// cause, fsync batch size, and all stage timings.
 	// Typically an obs.JSONLSink shared with TraceSink.
 	WideSink obs.WideSink
 	// SLOs are latency objectives tracked against the commit and fsync
@@ -192,15 +178,6 @@ func (o Options) withDefaults() Options {
 	} else if o.HistoryWindow < 0 {
 		o.HistoryWindow = 0
 	}
-	if o.StoreShards == 0 {
-		o.StoreShards = runtime.GOMAXPROCS(0)
-	}
-	if o.StoreShards < 1 {
-		o.StoreShards = 1
-	}
-	if o.StoreShards > 64 {
-		o.StoreShards = 64 // shard masks are uint64 bit sets
-	}
 	if o.WideSink != nil && o.StageSample == 0 {
 		// A wide-event sink without an explicit rate means "every txn":
 		// an armed sink that silently never emits would be a foot-gun.
@@ -216,60 +193,6 @@ var errConflict = errors.New("server: commit conflict")
 // errShutdown is returned once Close has begun.
 var errShutdown = errors.New("server: shutting down")
 
-// shard is one commit lane: a partition of the live store (by predicate,
-// refined by first-argument hash — db.ShardOf) with its own apply lock,
-// commit-log window, and version counter. Transactions whose read/write
-// sets touch disjoint shards validate and apply fully in parallel; only
-// the LSN assignment and the WAL append sequence through the global
-// sequencer lock, which covers no validation scan and no apply work.
-type shard struct {
-	idx int
-
-	// mu guards head, clog, clogLo, and floor. Lock ordering: shard locks
-	// are only ever taken in ascending index order; the sequencer lock
-	// (Server.seqMu) and the registry lock (Server.mu) nest strictly
-	// inside shard locks, never around them.
-	mu   sync.Mutex
-	head *db.DB // the authoritative tuples of this lane
-
-	// The lane's commit log is an append-only slice plus a live-window
-	// offset: clog[clogLo:] is the live log; entries below clogLo are dead
-	// but never overwritten. Records are immutable once appended, so
-	// commit validation can snapshot a subslice under mu and scan it after
-	// releasing the lock. Unlike the old monolithic log, a lane's LSN
-	// sequence has gaps (it holds only the commits that touched this
-	// lane), so lookups binary-search on version instead of indexing by
-	// offset. The log holds every record of this lane with version >
-	// floor; a replica whose lane version is below floor must full-resync.
-	clog   []commitRecord
-	clogLo int
-	floor  uint64
-
-	// version is the LSN of the newest commit applied to this lane. It is
-	// written only under mu but read lock-free by the catch-up fast path.
-	version atomic.Uint64
-
-	// commits counts commits whose write set landed in this lane
-	// (td_shard_commits_total{shard=}).
-	commits atomic.Int64
-}
-
-// suffixLocked returns the lane's records with version > after, capped so
-// later appends stay out of reach of the caller's lock-free scan. The
-// lane's versions are sparse, so this is a binary search, not arithmetic.
-func (sh *shard) suffixLocked(after uint64) []commitRecord {
-	lo, hi := sh.clogLo, len(sh.clog)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if sh.clog[m].version <= after {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return sh.clog[lo:len(sh.clog):len(sh.clog)]
-}
-
 // Server is a concurrent multi-client transaction service over one shared
 // Transaction Datalog database.
 type Server struct {
@@ -280,22 +203,32 @@ type Server struct {
 	reg   *obs.Registry
 	sem   chan struct{}
 
-	// The live store, partitioned into commit lanes. nshards and the slice
-	// are immutable after New; all mutable lane state is inside each shard.
-	nshards int
-	shards  []*shard
+	// commitMu is the one commit lock. It guards the live store (head), the
+	// commit log with its live window and floor, the frozen view and the
+	// history window, and every write of version; holding it is what makes a
+	// commit's re-validation, LSN, WAL append and apply one atomic step. It
+	// covers no O(history) validation scan and no fsync. Lock ordering: the
+	// registry lock (mu) nests strictly inside commitMu, never around it.
+	commitMu sync.Mutex
+	head     *db.DB // the authoritative tuples
 
-	// seqMu is the global sequencer: it assigns each commit its LSN (the
-	// next version — LSNs stay contiguous, which ASOF/CHANGES and the
-	// history window rely on), appends the WAL block, and advances the
-	// frozen view and the history window. It is taken only with the
-	// commit's shard locks already held (so the LSN order of any two
-	// commits touching a common lane matches their lane apply order) and
-	// covers no validation and no store apply.
-	seqMu   sync.Mutex
-	frozen  db.FrozenDB
-	hist    *history.Window // retained versions for ASOF/CHANGES
-	version atomic.Uint64   // written under seqMu; read lock-free
+	// The commit log is an append-only slice plus a live-window offset:
+	// clog[clogLo:] holds, in order, exactly the records of versions
+	// floor+1 .. version, so a suffix is found by arithmetic. Entries below
+	// clogLo are dead but never overwritten, and records are immutable once
+	// appended, so commit validation can snapshot a subslice under commitMu
+	// and scan it after releasing the lock. A replica whose version is below
+	// floor must full-resync.
+	clog   []commitRecord
+	clogLo int
+	floor  uint64
+
+	frozen db.FrozenDB
+	hist   *history.Window // retained versions for ASOF/CHANGES
+	// version is the LSN of the newest commit. LSNs are contiguous, which
+	// ASOF/CHANGES, the history window and the commit log rely on. Written
+	// under commitMu; read lock-free.
+	version atomic.Uint64
 
 	store *db.Store             // nil in memory-only mode; detached from its DB
 	group *groupCommit          // nil in memory-only or NoSync mode
@@ -311,8 +244,8 @@ type Server struct {
 	stageNow func() time.Time
 
 	// mu guards the session registry and lifecycle state. It nests inside
-	// shard locks (lane pruning reads replica positions under it) and must
-	// never be held while taking a shard lock or seqMu.
+	// commitMu (log pruning reads replica versions under it) and must never
+	// be held while taking commitMu.
 	mu       sync.Mutex
 	sessions map[*session]struct{}
 	closed   bool
@@ -360,7 +293,6 @@ func New(opts Options) (*Server, error) {
 		reg:      obs.NewRegistry(),
 		sem:      make(chan struct{}, opts.MaxSessions),
 		sessions: make(map[*session]struct{}),
-		nshards:  opts.StoreShards,
 	}
 	s.stats.init(s.reg)
 	s.stats.logger = opts.Logger
@@ -424,8 +356,8 @@ func New(opts Options) (*Server, error) {
 	s.reg.GaugeFunc("td_version", "current commit version of the shared database",
 		func() int64 { return int64(s.Version()) })
 	s.reg.GaugeFunc("td_db_size", "tuples in the shared database", func() int64 {
-		s.seqMu.Lock()
-		defer s.seqMu.Unlock()
+		s.commitMu.Lock()
+		defer s.commitMu.Unlock()
 		return int64(s.frozen.Size())
 	})
 	s.reg.GaugeFunc("td_wal_bytes", "bytes appended to the write-ahead log", func() int64 {
@@ -456,7 +388,6 @@ func New(opts Options) (*Server, error) {
 	s.reg.CounterFuncL("td_engine_pool_derivations_total",
 		"derivation-state acquisitions by live sessions, by pool outcome",
 		`outcome="alloc"`, func() int64 { return poolStats(false) })
-	var head *db.DB
 	if opts.SnapshotPath != "" || opts.WALPath != "" {
 		if opts.SnapshotPath == "" || opts.WALPath == "" {
 			return nil, errors.New("server: need both SnapshotPath and WALPath for durability")
@@ -465,58 +396,28 @@ func New(opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A checkpoint taken under one shard count must not be reopened
-		// under another (the manifest records it; PinShards checks).
-		if err := store.PinShards(s.nshards); err != nil {
-			store.Close()
-			return nil, err
-		}
 		s.store = store
-		head = store.DB
+		s.head = store.DB
 	} else {
-		head = db.New()
+		s.head = db.New()
 	}
-	if err := s.installFacts(head, prog.Facts); err != nil {
+	if err := s.installFacts(prog.Facts); err != nil {
 		return nil, err
 	}
-	s.frozen = db.FreezeDB(head)
-	var boot uint64
+	s.frozen = db.FreezeDB(s.head)
 	if s.store != nil {
 		// Commit versions are persistent: the version counter resumes from
 		// the recovered LSN so that version N names the same commit across
 		// restarts (the property ASOF, CHANGES, and the WAL's commit
 		// boundaries all build on). In-memory servers keep counting from 0.
-		boot = s.store.LastLSN()
-		s.version.Store(boot)
+		s.floor = s.store.LastLSN()
+		s.version.Store(s.floor)
 		rec := s.store.Recovery()
 		s.stats.recoveryReplayed.Store(int64(rec.ReplayedRecords))
-		// From here on the server owns the tuples, partitioned into lanes;
-		// the store keeps only the WAL/checkpoint machinery. ApplyCommit
-		// becomes a pure log append.
+		// From here on the server owns the tuples; the store keeps only the
+		// WAL/checkpoint machinery. ApplyCommit becomes a pure log append.
 		s.store.DetachDB()
 	}
-	heads := db.Split(head, s.nshards)
-	s.shards = make([]*shard, s.nshards)
-	for i, h := range heads {
-		sh := &shard{idx: i, head: h, floor: boot}
-		sh.version.Store(boot)
-		s.shards[i] = sh
-	}
-	for i := range s.shards {
-		sh := s.shards[i]
-		s.reg.CounterFuncL("td_shard_commits_total", "commits applied per store shard (commit lane)",
-			`shard="`+strconv.Itoa(i)+`"`, sh.commits.Load)
-	}
-	s.reg.CounterFunc("td_cross_shard_commits_total",
-		"commits whose read/write touch-set spanned more than one shard", s.stats.crossShardCommits.Load)
-	s.reg.GaugeFuncF("td_cross_shard_fraction",
-		"fraction of commits that spanned more than one shard", func() float64 {
-			total := s.stats.commits.Load()
-			if total == 0 {
-				return 0
-			}
-			return float64(s.stats.crossShardCommits.Load()) / float64(total)
-		})
 	s.hist = history.NewWindow(opts.HistoryWindow, s.version.Load(), s.frozen)
 	if s.store != nil && !opts.NoSync {
 		s.group = newGroupCommit(s.store, &s.stats, opts.CommitMaxBatch, opts.CommitMaxDelay)
@@ -535,15 +436,14 @@ func New(opts Options) (*Server, error) {
 // installFacts seeds the initial program's facts — but only into an EMPTY
 // database. A recovered database already reflects every committed
 // transaction; re-inserting seed facts that later transactions deleted
-// would resurrect stale tuples. Runs at boot, before the head is split
-// into lanes.
-func (s *Server) installFacts(head *db.DB, facts []term.Atom) error {
+// would resurrect stale tuples. Runs at boot, before any session exists.
+func (s *Server) installFacts(facts []term.Atom) error {
 	for _, f := range facts {
 		if !f.IsGround() {
 			return fmt.Errorf("server: initial fact %s is not ground", f)
 		}
 	}
-	if head.Size() > 0 || len(facts) == 0 {
+	if s.head.Size() > 0 || len(facts) == 0 {
 		return nil
 	}
 	ops := make([]db.Op, len(facts))
@@ -559,8 +459,8 @@ func (s *Server) installFacts(head *db.DB, facts []term.Atom) error {
 		}
 		return s.store.Commit()
 	}
-	head.Apply(ops)
-	head.ResetTrail()
+	s.head.Apply(ops)
+	s.head.ResetTrail()
 	return nil
 }
 
@@ -644,8 +544,8 @@ func (s *Server) InProcClient() *Client {
 	return NewClient(c1)
 }
 
-// newSession registers a session with a private replica built from the
-// current lane heads.
+// newSession registers a session with a private replica cloned from the
+// current head.
 func (s *Server) newSession(conn net.Conn) *session {
 	sess := &session{
 		srv:       s,
@@ -653,7 +553,6 @@ func (s *Server) newSession(conn net.Conn) *session {
 		id:        s.sessID.Add(1),
 		prog:      s.prog,
 		varHigh:   s.prog.VarHigh,
-		applied:   make([]atomic.Uint64, s.nshards),
 		tableMode: s.opts.Table,
 		clkBuf:    stageClock{now: s.stageNow},
 	}
@@ -671,11 +570,9 @@ func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	delete(s.sessions, sess)
 	s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.pruneShardLocked(sh)
-		sh.mu.Unlock()
-	}
+	s.commitMu.Lock()
+	s.pruneLogLocked()
+	s.commitMu.Unlock()
 }
 
 // absorbProfile folds an engine's per-predicate prover attribution into the
@@ -755,106 +652,74 @@ func (s *Server) proverProfile() map[string]PredProfile {
 	return out
 }
 
-// rebuildReplica builds the session's replica from scratch out of the lane
-// heads, one lane at a time — the per-lane positions may be torn across
-// lanes, which is fine: validation and catch-up are per lane. The global
-// version is read FIRST, so by the time each lane is absorbed it holds at
-// least every commit with LSN <= that version.
+// suffixLocked returns the log's records with version > after, capped so
+// later appends stay out of reach of the caller's lock-free scan. The caller
+// holds commitMu and has checked after >= floor.
+func (s *Server) suffixLocked(after uint64) []commitRecord {
+	lo := s.clogLo + int(after-s.floor)
+	return s.clog[lo:len(s.clog):len(s.clog)]
+}
+
+// rebuildReplica replaces the session's replica with a clone of the head.
 func (s *Server) rebuildReplica(sess *session) {
-	head := s.version.Load()
-	fresh := db.New()
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		ver := sh.version.Load()
-		fresh.AbsorbFrom(sh.head)
-		sh.mu.Unlock()
-		sess.applied[i].Store(ver)
-	}
-	sess.d = fresh
-	sess.version = head
+	s.commitMu.Lock()
+	sess.d = s.head.Clone()
+	sess.version.Store(s.version.Load())
+	s.commitMu.Unlock()
 }
 
-// syncSession brings a session's replica up to the current head version:
-// every lane that advanced past the replica's position on it is caught up
-// under its own lane lock; a lane that did not costs two atomic loads.
-// sess.version cannot stand in for the per-lane positions — after the
-// session's own commit it is that commit's LSN, while only the lanes the
-// commit touched were caught up, so "head == sess.version" would keep
-// skipping the others until some other session committed.
+// syncSession brings a session's replica up to the current head version by
+// applying the commit-log suffix it has not seen; a replica already at the
+// head costs two atomic loads. A replica the log no longer reaches back to
+// (MaxLog stranding) is rebuilt from the head.
 func (s *Server) syncSession(sess *session) {
-	head := s.version.Load()
-	for i := range s.shards {
-		if !s.catchUpShard(sess, i) {
-			// A lane's log was pruned past the replica: full resync.
-			s.rebuildReplica(sess)
-			return
-		}
+	from := sess.version.Load()
+	if s.version.Load() == from {
+		return
 	}
-	sess.version = head
-}
-
-// catchUpShard applies lane i's commit-log suffix the session has not seen.
-// It reports false when the lane's log no longer reaches back far enough
-// (the caller must full-resync).
-func (s *Server) catchUpShard(sess *session, i int) bool {
-	sh := s.shards[i]
-	from := sess.applied[i].Load()
-	if sh.version.Load() == from {
-		return true
+	s.commitMu.Lock()
+	if from < s.floor {
+		s.commitMu.Unlock()
+		s.rebuildReplica(sess)
+		return
 	}
-	sh.mu.Lock()
-	if from < sh.floor {
-		sh.mu.Unlock()
-		return false
-	}
-	suffix := sh.suffixLocked(from)
-	ver := sh.version.Load()
-	sh.mu.Unlock()
-	for j := range suffix {
-		sess.d.Apply(suffix[j].ops)
+	suffix := s.suffixLocked(from)
+	ver := s.version.Load()
+	s.commitMu.Unlock()
+	for i := range suffix {
+		sess.d.Apply(suffix[i].ops)
 	}
 	sess.d.ResetTrail()
-	sess.applied[i].Store(ver)
-	return true
+	sess.version.Store(ver)
 }
 
-// commit validates a transaction's read/write sets against everything that
-// committed after the session's replica positions and, on success, applies
-// the write set to the touched lanes, appends it to the WAL, and waits for
-// the group-commit flusher to make it durable before returning (unless
-// NoSync). On conflict it returns errConflict without touching shared
-// state; the session must roll its replica back and resync.
+// commit validates a transaction's read set against everything that
+// committed after the session's replica version and, on success, applies the
+// write set to the head, appends it to the WAL, and waits for the
+// group-commit flusher to make it durable before returning (unless NoSync).
+// On conflict it returns errConflict without touching shared state; the
+// session must roll its replica back and resync.
 //
-// The commit path is the three-stage pipeline of the monolithic design,
-// run per commit lane:
+// The commit path is a three-stage pipeline around the one commit lock:
 //
-//  1. Backward validation runs against immutable snapshots of the touched
-//     lanes' commit logs, each taken under a brief lane lock — the
-//     O(history) conflict scans happen with every lock RELEASED,
-//     concurrent with other committers.
-//  2. The locks of ALL touched lanes (reads and writes — a lane we only
-//     read from must not admit a winner between our validation and our
-//     LSN) are taken in ascending index order; each lane re-validates
-//     only the records that committed during stage 1 (usually none). A
-//     clean commit applies its ops to the write lanes' heads, then takes
-//     the sequencer lock just long enough to claim the next LSN, append
-//     the WAL block (buffered, not synced), and advance the frozen view
-//     and the history window; the commit records are published to the
-//     write lanes' logs before the lane locks drop. Commits touching
-//     disjoint lanes never meet on any of this except the sequencer,
-//     which does O(ops) map-free work.
+//  1. Backward validation runs against an immutable snapshot of the commit
+//     log taken under a brief lock — the O(history) conflict scan happens
+//     with the lock RELEASED, concurrent with other committers.
+//  2. The lock is retaken only to re-validate the records that committed
+//     during stage 1 (usually none), claim the next LSN, append the WAL
+//     block (buffered, not synced), apply the ops to the head, advance the
+//     frozen view and the history window, and publish the commit record.
 //  3. The committer waits, lock-free, for the flusher goroutine to cover
 //     its LSN with a batched WAL fsync (WAL-before-ack per batch: the
 //     sync that acknowledges a commit always covers its records).
 //
-// Because every lane in the read OR write mask is locked through LSN
-// assignment, LSN order is an admissible serial order: any commit ordered
-// before ours on a lane we touched published its lane records (and its
-// effects) before we validated or applied there.
+// Stage 2 is one critical section, so LSN order is an admissible serial
+// order: every commit ordered before ours published its record (and its
+// effects) before we re-validated and applied.
 //
 // ops is the transaction's net write set (db.DeltaSince), never empty. The
-// session's replica must already contain exactly ops on top of its
-// per-lane positions; on success it is caught up to the new head in place.
+// session's replica must already contain exactly ops on top of its version;
+// on success it is caught up to the new head in place.
 func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error) {
 	started := time.Now()
 	clk := sess.clk // nil unless this transaction is stage-sampled
@@ -869,168 +734,101 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 		// longer be made durable.
 		return 0, err
 	}
-	in := newCommitIntent(s.nshards, rs, ops) // conflict keys + lane split, outside every lock
+	rec := newCommitRecord(ops) // conflict keys, built outside the lock
 	if clk != nil {
-		clk.lanes |= in.mask
 		clk.ops += len(ops)
-		clk.crossShard = clk.crossShard || in.crossShard()
 	}
 
-	// Stage 1a: snapshot each touched lane's validation view.
-	views := make([][]commitRecord, s.nshards)
-	snaps := make([]uint64, s.nshards)
-	for i := 0; i < s.nshards; i++ {
-		if in.mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		sh := s.shards[i]
-		from := sess.applied[i].Load()
-		sh.mu.Lock()
-		if from < sh.floor {
-			// History needed for validation was pruned: conservatively abort.
-			sh.mu.Unlock()
-			return 0, s.lostStale(clk)
-		}
-		views[i] = sh.suffixLocked(from)
-		snaps[i] = sh.version.Load()
-		sh.mu.Unlock()
+	// Stage 1: snapshot the validation view, then scan it without the lock.
+	from := sess.version.Load()
+	s.commitMu.Lock()
+	if from < s.floor {
+		// History needed for validation was pruned: conservatively abort.
+		s.commitMu.Unlock()
+		return 0, s.lostStale(clk)
 	}
-
-	// Stage 1b: validate against committed history without any lock.
-	for i := range views {
-		for j := range views[i] {
-			if k := views[i][j].conflictsWith(rs); k >= 0 {
-				return 0, s.lostTo(clk, &views[i][j], k)
-			}
+	view := s.suffixLocked(from)
+	snap := s.version.Load()
+	s.commitMu.Unlock()
+	for i := range view {
+		if k := view[i].conflictsWith(rs); k >= 0 {
+			return 0, s.lostTo(clk, &view[i], k)
 		}
 	}
 	if clk != nil {
 		clk.mark(stageValidate)
 	}
 
-	// Stage 2: lock every touched lane in index order, re-validate the
-	// deltas that committed meanwhile, then apply and sequence.
-	locked := make([]*shard, 0, bits.OnesCount64(in.mask))
-	unlockAll := func() {
-		for _, sh := range locked {
-			sh.mu.Unlock()
-		}
+	// Stage 2: re-validate the delta that committed meanwhile, then
+	// sequence, log, apply and publish — one critical section.
+	s.commitMu.Lock()
+	if clk != nil {
+		clk.mark(stageLockWait)
 	}
-	for i := 0; i < s.nshards; i++ {
-		if in.mask&(1<<uint(i)) != 0 {
-			s.shards[i].mu.Lock()
-			locked = append(locked, s.shards[i])
+	if snap < s.floor {
+		// The delta was pruned while we validated (MaxLog stranding):
+		// conservatively abort.
+		s.commitMu.Unlock()
+		return 0, s.lostStale(clk)
+	}
+	delta := s.suffixLocked(snap)
+	for i := range delta {
+		if k := delta[i].conflictsWith(rs); k >= 0 {
+			s.commitMu.Unlock()
+			return 0, s.lostTo(clk, &delta[i], k)
 		}
 	}
 	if clk != nil {
-		clk.mark(stageLaneWait)
+		clk.mark(stageValidate) // the delta re-check accumulates onto validate
 	}
-	deltas := make([][]commitRecord, s.nshards)
-	for _, sh := range locked {
-		if sess.applied[sh.idx].Load() < sh.floor {
-			// The lane pruned past us while we validated (MaxLog stranding):
-			// conservatively abort.
-			unlockAll()
-			return 0, s.lostStale(clk)
-		}
-		delta := sh.suffixLocked(snaps[sh.idx])
-		for j := range delta {
-			if k := delta[j].conflictsWith(rs); k >= 0 {
-				unlockAll()
-				return 0, s.lostTo(clk, &delta[j], k)
-			}
-		}
-		deltas[sh.idx] = delta
-	}
-	if clk != nil {
-		clk.mark(stageValidate) // delta re-checks accumulate onto validate
-	}
-
-	// Apply to the write lanes' heads. Every op takes effect: the write set
-	// is a net effect, each of its tuples was observed by the read set, and
-	// validation just showed no winner changed the membership of any.
-	for k := range ops {
-		s.shards[in.rec.writes[k].shard].head.ApplyOne(&ops[k])
-	}
-	for _, sh := range locked {
-		if in.writeMask&(1<<uint(sh.idx)) != 0 {
-			sh.head.ResetTrail()
-		}
-	}
-	if clk != nil {
-		clk.mark(stageApply)
-	}
-
-	// Sequence: claim the LSN, append the WAL block, advance the global
-	// views. LSNs stay contiguous — every commit sequences here.
-	s.seqMu.Lock()
 	lsn := s.version.Load() + 1
 	if s.store != nil {
 		// The WAL block carries the commit's LSN, so recovery and the
-		// checkpointer can name durable prefixes by commit version.
+		// checkpointer can name durable prefixes by commit version. It is
+		// appended before anything in memory moves, so a failed append
+		// leaves the head, the log and the version untouched.
 		if _, err := s.store.ApplyCommit(ops, lsn); err != nil {
-			s.seqMu.Unlock()
-			unlockAll()
+			s.commitMu.Unlock()
 			return 0, err
 		}
 	}
 	s.frozen = s.frozen.ApplyOps(ops)
 	// Retain the version for time travel: the ops are the immutable commit
 	// record's (net) write set, the snapshot is the O(1)-forked frozen head.
-	// Monotonicity is guaranteed under seqMu, so Append cannot fail.
+	// Monotonicity is guaranteed under commitMu, so Append cannot fail.
 	_ = s.hist.Append(lsn, ops, s.frozen)
-	s.version.Store(lsn)
 	s.group.noteAppend(lsn)
-	s.seqMu.Unlock()
 	if clk != nil {
 		clk.mark(stageWALAppend)
 	}
+	// Every op takes effect: the write set is a net effect, each of its
+	// tuples was observed by the read set, and validation just showed no
+	// winner changed the membership of any.
+	s.head.Apply(ops)
+	s.head.ResetTrail()
+	rec.version = lsn
+	s.clog = append(s.clog, rec)
+	s.version.Store(lsn)
+	sess.version.Store(lsn)
+	s.pruneLogLocked()
+	s.commitMu.Unlock()
 
-	// Publish the commit records to the write lanes and advance the
-	// session's positions on every touched lane (a read-only lane cannot
-	// have moved — we held its lock), then release the lanes.
-	for _, sh := range locked {
-		if in.writeMask&(1<<uint(sh.idx)) == 0 {
-			continue
-		}
-		rec := in.rec
-		if in.shardOps != nil {
-			rec = commitRecord{ops: in.shardOps[sh.idx], writes: in.shardWrites[sh.idx]}
-		}
-		rec.version = lsn
-		sh.clog = append(sh.clog, rec)
-		sh.version.Store(lsn)
-		sh.commits.Add(1)
-		s.pruneShardLocked(sh)
-	}
-	for _, sh := range locked {
-		sess.applied[sh.idx].Store(lsn)
-	}
-	sess.version = lsn
-	unlockAll()
-
-	// The committer's replica holds (its old per-lane positions + ops);
-	// fold in the concurrent but non-overlapping writes it validated
-	// against — per lane, view covers (applied, snap] and delta covers
-	// (snap, lsn) — making it equal to the new head on every touched lane.
-	// Ops in different lanes touch disjoint tuples, so the lane-by-lane
-	// order is immaterial. sess.d is session-private, so this runs outside
-	// every lock; the record slices stay valid even if pruning compacts a
-	// log meanwhile, because compaction copies into a fresh array and the
+	// The committer's replica holds (its old version + ops); fold in the
+	// concurrent but non-overlapping writes it validated against — view
+	// covers (from, snap], delta covers (snap, lsn) — making it equal to the
+	// new head. sess.d is session-private, so this runs outside the lock;
+	// the record slices stay valid even if pruning compacts the log
+	// meanwhile, because compaction copies into a fresh array and the
 	// records themselves are immutable.
-	for i := range views {
-		for j := range views[i] {
-			sess.d.Apply(views[i][j].ops)
-		}
+	for i := range view {
+		sess.d.Apply(view[i].ops)
 	}
-	for i := range deltas {
-		for j := range deltas[i] {
-			sess.d.Apply(deltas[i][j].ops)
-		}
+	for i := range delta {
+		sess.d.Apply(delta[i].ops)
 	}
 	sess.d.ResetTrail()
 	if clk != nil {
-		clk.mark(stageApply) // publish + replica fold-in accumulate onto apply
+		clk.mark(stageApply) // head apply, publish and replica fold-in
 	}
 
 	// Stage 3: wait for a batched WAL sync to cover the LSN.
@@ -1045,9 +843,6 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 		}
 	}
 	s.stats.commits.Add(1)
-	if in.crossShard() {
-		s.stats.crossShardCommits.Add(1)
-	}
 	s.stats.deltaOps.Add(int64(len(ops)))
 	elapsed := time.Since(started)
 	s.stats.recordCommitLatency(elapsed)
@@ -1055,8 +850,8 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	return lsn, nil
 }
 
-// lostStale counts a validation round lost because a lane's history no
-// longer reaches back to the replica's position.
+// lostStale counts a validation round lost because the commit log no longer
+// reaches back to the replica's version.
 func (s *Server) lostStale(clk *stageClock) error {
 	s.stats.conflicts.Add(1)
 	s.stats.conflictStale.Add(1)
@@ -1081,52 +876,45 @@ func (s *Server) lostTo(clk *stageClock, rec *commitRecord, k int) error {
 	return errConflict
 }
 
-// pruneShardLocked drops lane records every live replica has already
-// applied, and enforces the MaxLog cap (stranding laggards, who will full
-// resync). Pruning only advances the live-window offset — no copying, no
-// allocation; dead entries are reclaimed by an occasional compaction into
-// a fresh array (entries are never overwritten in place, because commit
-// validation may still be scanning a snapshot of the old array outside the
-// lock). Called with sh.mu held; takes the registry lock to read replica
-// positions (lane lock → registry lock, never the reverse).
-func (s *Server) pruneShardLocked(sh *shard) {
-	min := sh.version.Load()
+// pruneLogLocked drops log records every live replica has already applied,
+// and enforces the MaxLog cap (stranding laggards, who will full resync).
+// Pruning only advances the live-window offset — no copying, no allocation;
+// dead entries are reclaimed by an occasional compaction into a fresh array
+// (entries are never overwritten in place, because commit validation may
+// still be scanning a snapshot of the old array outside the lock). Called
+// with commitMu held; takes the registry lock to read replica versions.
+func (s *Server) pruneLogLocked() {
+	head := s.version.Load()
+	min := head
 	s.mu.Lock()
 	for sess := range s.sessions {
-		if v := sess.applied[sh.idx].Load(); v < min {
+		if v := sess.version.Load(); v < min {
 			min = v
 		}
 	}
 	s.mu.Unlock()
-	lo := sh.clogLo
-	for lo < len(sh.clog) && sh.clog[lo].version <= min {
-		lo++
+	if head-min > uint64(s.opts.MaxLog) {
+		min = head - uint64(s.opts.MaxLog)
 	}
-	if keep := len(sh.clog) - lo; keep > s.opts.MaxLog {
-		lo = len(sh.clog) - s.opts.MaxLog
+	if min > s.floor {
+		s.clogLo += int(min - s.floor)
+		s.floor = min
 	}
-	// floor is the version of the newest dropped record: the log then holds
-	// exactly the lane's records above it (lane LSNs are sparse, so
-	// "clog[lo].version - 1" would claim coverage it cannot prove).
-	if lo > sh.clogLo {
-		sh.floor = sh.clog[lo-1].version
-	}
-	sh.clogLo = lo
 	// Compact once the dead prefix dominates: amortized O(1) per commit.
-	if lo > 64 && lo*2 >= len(sh.clog) {
-		live := len(sh.clog) - lo
+	if lo := s.clogLo; lo > 64 && lo*2 >= len(s.clog) {
+		live := len(s.clog) - lo
 		fresh := make([]commitRecord, live, live+live/2+16)
-		copy(fresh, sh.clog[lo:])
-		sh.clog = fresh
-		sh.clogLo = 0
+		copy(fresh, s.clog[lo:])
+		s.clog = fresh
+		s.clogLo = 0
 	}
 }
 
 // Snapshot returns an immutable snapshot of the current shared database
 // (maintained incrementally at each commit; O(1) to take).
 func (s *Server) Snapshot() db.FrozenDB {
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	return s.frozen
 }
 
@@ -1143,10 +931,10 @@ func (s *Server) Checkpoint() (uint64, error) {
 	if s.store == nil {
 		return 0, errors.New("server: in-memory server has no store to checkpoint")
 	}
-	s.seqMu.Lock()
+	s.commitMu.Lock()
 	frozen := s.frozen
 	lsn := s.version.Load()
-	s.seqMu.Unlock()
+	s.commitMu.Unlock()
 	store := s.store
 	started := time.Now()
 	if err := store.CheckpointFrom(frozen, lsn); err != nil {
@@ -1163,10 +951,10 @@ func (s *Server) History() *history.Window { return s.hist }
 // Stats returns a consistent snapshot of the server counters.
 func (s *Server) Stats() StatsSnapshot {
 	p50, p99 := s.stats.quantiles()
-	s.seqMu.Lock()
+	s.commitMu.Lock()
 	version := s.version.Load()
 	size := s.frozen.Size()
-	s.seqMu.Unlock()
+	s.commitMu.Unlock()
 	var walBytes int64
 	if s.store != nil {
 		walBytes = s.store.WALSize()
@@ -1209,20 +997,6 @@ func (s *Server) Stats() StatsSnapshot {
 		CheckpointP99Us:  s.stats.ckptLat.Quantile(0.99),
 		RecoveryReplayed: s.stats.recoveryReplayed.Load(),
 	}
-	// Sharding fields ride only on actually-sharded servers, so single-lane
-	// deployments (and the golden wire-compat fixtures) see an unchanged
-	// STATS payload.
-	if s.nshards > 1 {
-		snap.Shards = s.nshards
-		snap.ShardCommits = make([]int64, s.nshards)
-		for i, sh := range s.shards {
-			snap.ShardCommits[i] = sh.commits.Load()
-		}
-		snap.CrossShardCommits = s.stats.crossShardCommits.Load()
-		if c := s.stats.commits.Load(); c > 0 {
-			snap.CrossShardFraction = float64(snap.CrossShardCommits) / float64(c)
-		}
-	}
 	if stale, rw := s.stats.conflictStale.Load(), s.stats.conflictRW.Load(); stale > 0 || rw > 0 {
 		snap.ConflictCauses = map[string]int64{}
 		if stale > 0 {
@@ -1240,9 +1014,8 @@ func (s *Server) Stats() StatsSnapshot {
 			snap.VerbP99Us[v] = h.Quantile(0.99)
 		}
 	}
-	// Stage quantiles, prover profile, and SLO state (PR 8) ride only when
-	// the corresponding feature produced data, so servers running with
-	// everything off keep emitting the pre-PR-8 frame byte for byte.
+	// Stage quantiles, prover profile, and SLO state ride only when the
+	// corresponding feature produced data.
 	for i := 0; i < nStages; i++ {
 		h := s.stats.stageLat[i]
 		if h.Count() == 0 {
@@ -1258,8 +1031,7 @@ func (s *Server) Stats() StatsSnapshot {
 	if prof := s.proverProfile(); len(prof) > 0 {
 		snap.ProverProfile = prof
 	}
-	// Planner counters (PR 9): zero (and omitted) under NoPlan, so such
-	// servers keep the pre-planner payload.
+	// Planner counters: zero (and omitted) under NoPlan.
 	snap.PlanReorders = s.stats.planReorders.Load()
 	snap.PlanHits = s.stats.planHits.Load()
 	s.mu.Lock()
@@ -1269,9 +1041,8 @@ func (s *Server) Stats() StatsSnapshot {
 		}
 	}
 	s.mu.Unlock()
-	// Memo counters (PR 10): all zero (and omitted) until a tabled goal
-	// touches the shared store, so untabled servers keep the pre-PR-10
-	// payload byte for byte.
+	// Memo counters: all zero (and omitted) until a tabled goal touches the
+	// shared store.
 	if ms := s.memo.Snapshot(); ms.Hits+ms.Misses+ms.Invalidations+ms.Evictions+ms.Entries > 0 {
 		snap.MemoHits = ms.Hits
 		snap.MemoMisses = ms.Misses

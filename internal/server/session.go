@@ -29,13 +29,11 @@ type session struct {
 	conn net.Conn
 	id   uint64 // session serial, stamped into wide events
 
-	d       *db.DB
-	version uint64
-	// applied[i] is the LSN of the newest lane-i commit folded into the
-	// replica. Written by the owning session (and by rebuildReplica); read
-	// lock-free by lane pruning, which uses it to size each lane's live
-	// commit-log window.
-	applied []atomic.Uint64
+	d *db.DB
+	// version is the LSN of the newest commit folded into the replica — the
+	// session's one position. Written by the owning session; read lock-free
+	// by log pruning, which uses it to size the live commit-log window.
+	version atomic.Uint64
 	prog    *ast.Program
 	varHigh int64
 	eng     *engine.Engine
@@ -90,7 +88,7 @@ func (sess *session) tracing() bool {
 // only read synchronously inside commit, so reuse across attempts is safe.
 func (sess *session) freshReadSet() *readSet {
 	if sess.rsBuf == nil {
-		sess.rsBuf = newReadSet(sess.srv.nshards)
+		sess.rsBuf = newReadSet()
 		return sess.rsBuf
 	}
 	return sess.rsBuf.reset()
@@ -284,7 +282,7 @@ func (sess *session) handleLoad(req *Request) *Response {
 	if resp := sess.commitFacts(prog.Facts); resp != nil {
 		return resp
 	}
-	return &Response{OK: true, Version: sess.version}
+	return &Response{OK: true, Version: sess.version.Load()}
 }
 
 // commitFacts installs facts through the OCC commit path, retrying on
@@ -334,7 +332,7 @@ func (sess *session) handleBegin() *Response {
 	sess.beginMark = sess.d.Mark()
 	sess.rs = sess.freshReadSet()
 	sess.srv.stats.txnsBegun.Add(1)
-	return &Response{OK: true, Version: sess.version}
+	return &Response{OK: true, Version: sess.version.Load()}
 }
 
 // addEngineStats folds a finished goal's engine statistics and the read
@@ -425,8 +423,6 @@ func (sess *session) emitWide(clk *stageClock, req *Request, resp *Response) {
 		LSN:        resp.Version,
 		Retries:    resp.Retries,
 		Conflict:   clk.conflict,
-		Lanes:      clk.laneList(),
-		CrossShard: clk.crossShard,
 		Ops:        clk.ops,
 		Batch:      clk.batch,
 		TotalUs:    clk.total().Microseconds(),
@@ -554,7 +550,7 @@ func (sess *session) handleCommit() *Response {
 		// transaction is the identity on the database, so it is serializable
 		// at its snapshot point with nothing to validate or log.
 		sess.d.ResetTrail()
-		return &Response{OK: true, Version: sess.version}
+		return &Response{OK: true, Version: sess.version.Load()}
 	}
 	version, err := sess.srv.commit(sess, sess.rs, ops)
 	switch {
@@ -580,7 +576,7 @@ func (sess *session) handleAbort() *Response {
 	sess.inTxn = false
 	sess.rs = nil
 	sess.srv.stats.aborts.Add(1)
-	return &Response{OK: true, Version: sess.version}
+	return &Response{OK: true, Version: sess.version.Load()}
 }
 
 // handleExec is BEGIN + RUN + COMMIT with server-side conflict retries:
@@ -620,7 +616,7 @@ func (sess *session) handleExec(req *Request) *Response {
 			// Read-only (an empty net effect): serializable at its snapshot
 			// point.
 			sess.d.ResetTrail()
-			return &Response{OK: true, Version: sess.version, Retries: attempt, Bindings: bindingsWire(res.Bindings)}
+			return &Response{OK: true, Version: sess.version.Load(), Retries: attempt, Bindings: bindingsWire(res.Bindings)}
 		}
 		version, err := sess.srv.commit(sess, sess.rs, ops)
 		switch {

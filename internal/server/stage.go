@@ -16,21 +16,25 @@ package server
 
 import "time"
 
-// Pipeline stages, in the order a committing EXEC passes through them.
+// Pipeline stages. A committing EXEC passes through them in this order,
+// except that it appends its WAL block before it applies to the head.
 const (
 	stageParse     = iota // goal text -> AST
 	stageProve            // proof search over the session replica
 	stageValidate         // OCC backward validation (lock-free scans + delta re-checks)
-	stageLaneWait         // acquiring the touched lanes' locks in index order
-	stageApply            // applying the write set to lane heads and the replica
-	stageWALAppend        // the sequencer section: LSN claim + WAL block append
+	stageLockWait         // waiting for the commit lock
+	stageApply            // applying the write set to the head and the replica
+	stageWALAppend        // LSN claim, WAL block append, frozen view and history window
 	stageFsyncWait        // parked on the group-commit flusher's covering fsync
 	stageAck              // response serialization and the socket write
 	nStages
 )
 
 // stageNames are the label values of td_txn_stage_us{stage=} and the keys of
-// the wide event's stage_us map, indexed by the constants above.
+// the wide event's stage_us map, indexed by the constants above. The wait
+// for the commit lock keeps the key "lane_wait" from when there were commit
+// lanes: bench/trace.go, tdtop, tdlog and every recorded BENCH_*.json look
+// it up by that name.
 var stageNames = [nStages]string{
 	"parse", "prove", "validate", "lane_wait", "apply", "wal_append", "fsync_wait", "ack",
 }
@@ -50,11 +54,9 @@ type stageClock struct {
 	dur   [nStages]time.Duration
 
 	// Commit-path facts recorded along the way (wide-event payload).
-	lanes      uint64 // mask of commit lanes touched
-	ops        int    // write-set size (net ops)
-	crossShard bool
-	conflict   string // cause of the last OCC round lost before success
-	batch      int64  // commits covered by the fsync that acknowledged us
+	ops      int    // write-set size (net ops)
+	conflict string // cause of the last OCC round lost before success
+	batch    int64  // commits covered by the fsync that acknowledged us
 
 	// For a read_write loss: the winner's LSN and the atom of its op that
 	// the read set had observed.
@@ -77,8 +79,8 @@ func (c *stageClock) reset() {
 }
 
 // mark charges the interval since the previous mark to stage. Stages may be
-// marked more than once (validate runs lock-free and again under the lane
-// locks; EXEC retries accumulate across attempts): durations add up.
+// marked more than once (validate runs lock-free and again under the commit
+// lock; EXEC retries accumulate across attempts): durations add up.
 func (c *stageClock) mark(stage int) {
 	now := c.read()
 	c.dur[stage] += now.Sub(c.last)
@@ -87,17 +89,3 @@ func (c *stageClock) mark(stage int) {
 
 // total is the transaction's end-to-end wall-clock so far.
 func (c *stageClock) total() time.Duration { return c.read().Sub(c.start) }
-
-// laneList expands the touched-lane mask into the wide event's lane list.
-func (c *stageClock) laneList() []int {
-	if c.lanes == 0 {
-		return nil
-	}
-	var out []int
-	for i := 0; i < 64; i++ {
-		if c.lanes&(1<<uint(i)) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -20,60 +20,16 @@ import (
 
 // --- STATS wire compatibility ----------------------------------------------
 
-// goldenPR8Stats extends the golden frame with the stage-attribution keys
-// (PR 8). As with every addition since PR 3 they are new names only, omitted
-// when their feature is off, so pre-PR-8 clients keep decoding payloads
-// unchanged and servers with attribution off keep emitting the old frame.
-const goldenPR8Stats = `{
-	"commits": 100, "version": 100,
-	"stage_p50_us": {"parse": 12, "prove": 180, "fsync_wait": 900},
-	"stage_p99_us": {"parse": 30, "prove": 2100, "fsync_wait": 4000},
-	"prover_profile": {"transfer": {"calls": 40, "fanout": 80, "time_us": 1500}},
-	"slos": [{"name": "commit", "threshold_us": 5000, "objective": 0.999,
-	          "good": 99, "total": 100, "burn_rate": 10}]
-}`
-
+// A live server with sampling, profiling, and SLOs all off mentions none of
+// their keys in its STATS frame.
 func TestStatsSnapshotStageKeys(t *testing.T) {
-	var snap StatsSnapshot
-	if err := json.Unmarshal([]byte(goldenPR8Stats), &snap); err != nil {
-		t.Fatalf("golden PR-8 payload no longer decodes: %v", err)
-	}
-	if snap.StageP50Us["prove"] != 180 || snap.StageP99Us["fsync_wait"] != 4000 {
-		t.Fatalf("stage quantiles decoded wrong: %+v", snap)
-	}
-	if p := snap.ProverProfile["transfer"]; p.Calls != 40 || p.Fanout != 80 || p.TimeUs != 1500 {
-		t.Fatalf("prover profile decoded wrong: %+v", snap.ProverProfile)
-	}
-	if len(snap.SLOs) != 1 || snap.SLOs[0].Name != "commit" ||
-		snap.SLOs[0].ThresholdUs != 5000 || snap.SLOs[0].Objective != 0.999 ||
-		snap.SLOs[0].Good != 99 || snap.SLOs[0].Total != 100 || snap.SLOs[0].BurnRate != 10 {
-		t.Fatalf("SLO snapshot decoded wrong: %+v", snap.SLOs)
-	}
-
-	// The new keys stay off the wire when their feature never produced data.
-	body, err := json.Marshal(StatsSnapshot{Commits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire map[string]any
-	if err := json.Unmarshal(body, &wire); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"stage_p50_us", "stage_p99_us", "prover_profile", "slos"} {
-		if _, ok := wire[key]; ok {
-			t.Errorf("zero-valued PR-8 key %q leaked onto the wire", key)
-		}
-	}
-
-	// A live server with sampling, profiling, and SLOs all off emits the
-	// exact pre-PR-8 frame: none of the new keys appear.
 	s := newBankServer(t, Options{})
 	c := s.InProcClient()
 	defer c.Close()
 	if _, err := c.Exec("transfer(5, a, b)"); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	body, err = json.Marshal(s.Stats())
+	body, err := json.Marshal(s.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +169,6 @@ func TestWideEvents(t *testing.T) {
 		if ev.Ops != 4 { // transfer rewrites two accounts: 2 dels + 2 ins
 			t.Errorf("ops = %d, want 4", ev.Ops)
 		}
-		if len(ev.Lanes) == 0 {
-			t.Errorf("no commit lanes recorded: %+v", ev)
-		}
 		if ev.Batch < 1 {
 			t.Errorf("durable commit reports fsync batch %d, want >= 1", ev.Batch)
 		}
@@ -235,9 +188,9 @@ func TestWideEvents(t *testing.T) {
 		}
 		// A durable, uncontended EXEC marks each stage it passes through
 		// a known number of times: validate runs lock-free and again under
-		// the lane locks, apply covers the lane heads and then the publish.
+		// the commit lock.
 		want := map[string]int64{"parse": 1, "prove": 1, "validate": 2, "lane_wait": 1,
-			"apply": 2, "wal_append": 1, "fsync_wait": 1, "ack": 1}
+			"apply": 1, "wal_append": 1, "fsync_wait": 1, "ack": 1}
 		for stage, marks := range want {
 			if got := ev.StageUs[stage]; got != marks*tick.Microseconds() {
 				t.Errorf("stage_us[%s] = %d, want %d marks of %v: %+v", stage, got, marks, tick, ev.StageUs)
@@ -487,7 +440,7 @@ func TestMetricsNamingConventions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSLOs: %v", err)
 	}
-	s := newBankServer(t, Options{StoreShards: 2, SLOs: slos, StageSample: 1})
+	s := newBankServer(t, Options{SLOs: slos, StageSample: 1})
 	for _, fam := range s.Metrics().Families() {
 		if !strings.HasPrefix(fam.Name, "td_") {
 			t.Errorf("family %q lacks the td_ prefix", fam.Name)

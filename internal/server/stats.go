@@ -35,8 +35,6 @@ type serverStats struct {
 	checkpoints      atomic.Int64 // completed checkpoints (manual + policy)
 	recoveryReplayed atomic.Int64 // WAL op records replayed at the last boot
 
-	crossShardCommits atomic.Int64 // commits whose touch-set spanned lanes
-
 	planReorders atomic.Int64 // rule-body reorders installed into session engines
 	planHits     atomic.Int64 // call steps served by plan-reordered rule variants
 
@@ -204,35 +202,28 @@ type StatsSnapshot struct {
 	CheckpointP99Us  int64 `json:"checkpoint_p99_us,omitempty"`
 	RecoveryReplayed int64 `json:"recovery_replayed_records,omitempty"`
 
-	// Added with the sharded store (PR 7). Emitted only by servers running
-	// more than one commit lane, so single-lane deployments keep the exact
-	// pre-sharding payload.
-	Shards             int     `json:"shards,omitempty"`
-	ShardCommits       []int64 `json:"shard_commits,omitempty"`
-	CrossShardCommits  int64   `json:"cross_shard_commits,omitempty"`
-	CrossShardFraction float64 `json:"cross_shard_fraction,omitempty"`
+	// Always 0: there are no commit lanes. The field stays because the
+	// frozen bench/main.go reads it (server.cross_lane_share).
+	CrossShardCommits int64 `json:"cross_shard_commits,omitempty"`
 
 	// Added with stage-level latency attribution (PR 8). The stage maps
 	// carry the sampled pipeline quantiles (only once something was
 	// sampled), ProverProfile the per-predicate attribution (only when a
 	// session profiled), and SLOs the configured objectives' state — all
-	// omitted when their feature is off, so such servers keep the exact
-	// pre-PR-8 payload.
+	// omitted when their feature is off.
 	StageP50Us    map[string]int64       `json:"stage_p50_us,omitempty"`
 	StageP99Us    map[string]int64       `json:"stage_p99_us,omitempty"`
 	ProverProfile map[string]PredProfile `json:"prover_profile,omitempty"`
 	SLOs          []SLOSnapshot          `json:"slos,omitempty"`
 
 	// Added with the tdplan static planner (PR 9). All zero (and omitted)
-	// under Options.NoPlan or when the planner found nothing to do, so such
-	// servers keep emitting the exact pre-PR-9 payload.
+	// under Options.NoPlan or when the planner found nothing to do.
 	PlanReorders        int64 `json:"plan_reorders,omitempty"`
 	PlanHits            int64 `json:"plan_hits,omitempty"`
 	PlanTablingEligible int64 `json:"plan_tabling_eligible,omitempty"`
 
 	// Added with tabled evaluation (PR 10). All zero (and omitted) when no
-	// session ever touched the memo store, so servers running with tabling
-	// off keep emitting the exact pre-PR-10 payload.
+	// session ever touched the memo store.
 	MemoHits          int64          `json:"memo_hits,omitempty"`
 	MemoMisses        int64          `json:"memo_misses,omitempty"`
 	MemoInvalidations int64          `json:"memo_invalidations,omitempty"`
