@@ -65,7 +65,7 @@ cover:
 # leaves a truncated artifact (the PR 8 recording died mid-pipe and left
 # an empty file; the old `> tmp && mv` chain could not survive a failed
 # producer).
-N ?= 16
+N ?= 22
 BENCH := BENCH_PR$(N).json
 BENCH_PREV := BENCH_PR$(shell expr $(N) - 1).json
 

@@ -1,13 +1,18 @@
 package td_test
 
-// Benchmark harness: one benchmark per experiment in EXPERIMENTS.md. Each
-// BenchmarkE* regenerates the corresponding table/figure-equivalent
-// artifact of the paper through the same code path as cmd/tdbench, and the
-// focused benchmarks below time the individual workloads at a fixed size
-// so allocations and per-op cost are visible with -benchmem.
+// In-process benchmarks at fixed sizes: the prover on the bank transfer and
+// the genome-lab workflow (plain, traced, planned, tabled), the simulator,
+// the RE-hardness and Datalog constructions, parsing, the database's
+// insert/delete path, the transaction server's throughput (in memory and
+// durable, contended and disjoint) and recovery. `make bench` records the
+// hot-path subset as BENCH_PR<n>.json through cmd/benchjson, and `make
+// bench-compare` gates it against the previous record; the paper's
+// experiments are not timed here — `go run ./cmd/tdbench -only E<n>`
+// regenerates one, and TestAllExperimentsPassQuick runs them all on every
+// `go test`.
 //
 // Run everything:   go test -bench=. -benchmem
-// One experiment:   go test -bench=BenchmarkE7 -benchmem
+// One benchmark:    go test -bench=BenchmarkProverLabFlow -benchmem
 
 import (
 	"fmt"
@@ -23,7 +28,6 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/db"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/parser"
@@ -31,38 +35,6 @@ import (
 	"repro/internal/term"
 	"repro/internal/workflow"
 )
-
-// benchExperiment runs one full experiment (all its sweeps) per iteration.
-func benchExperiment(b *testing.B, f func(experiments.Config) experiments.Report) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep := f(experiments.Config{Quick: true})
-		if !rep.Pass {
-			b.Fatalf("%s failed: %v", rep.ID, rep.Notes)
-		}
-	}
-}
-
-func BenchmarkE1Transfer(b *testing.B)   { benchExperiment(b, experiments.E1Transfer) }
-func BenchmarkE2Nested(b *testing.B)     { benchExperiment(b, experiments.E2NestedAbort) }
-func BenchmarkE3Workflow(b *testing.B)   { benchExperiment(b, experiments.E3WorkflowSpec) }
-func BenchmarkE4Simulation(b *testing.B) { benchExperiment(b, experiments.E4Simulation) }
-func BenchmarkE5Agents(b *testing.B)     { benchExperiment(b, experiments.E5SharedAgents) }
-func BenchmarkE6Sync(b *testing.B)       { benchExperiment(b, experiments.E6Cooperation) }
-func BenchmarkE7TwoStack(b *testing.B)   { benchExperiment(b, experiments.E7TwoStack) }
-func BenchmarkE8QBF(b *testing.B)        { benchExperiment(b, experiments.E8SequentialQBF) }
-func BenchmarkE9NonRec(b *testing.B)     { benchExperiment(b, experiments.E9NonRecursive) }
-func BenchmarkE10Bounded(b *testing.B)   { benchExperiment(b, experiments.E10FullyBounded) }
-func BenchmarkE11InsOnly(b *testing.B)   { benchExperiment(b, experiments.E11InsOnlyDatalog) }
-func BenchmarkE12Isolation(b *testing.B) { benchExperiment(b, experiments.E12Isolation) }
-func BenchmarkE13Turing(b *testing.B)    { benchExperiment(b, experiments.E13TuringChain) }
-func BenchmarkE14Verify(b *testing.B)    { benchExperiment(b, experiments.E14Verification) }
-func BenchmarkA1Tabling(b *testing.B)    { benchExperiment(b, experiments.A1Tabling) }
-func BenchmarkA2DBFork(b *testing.B)     { benchExperiment(b, experiments.A2DBFork) }
-func BenchmarkA3Index(b *testing.B)      { benchExperiment(b, experiments.A3Index) }
-
-// ---------------------------------------------------------------------------
-// Focused micro/meso benchmarks at fixed sizes.
 
 const benchBank = `
 	balance(A, B) :- account(A, B).
@@ -433,45 +405,6 @@ func BenchmarkDBInsertDelete(b *testing.B) {
 			d.ResetTrail()
 		}
 	}
-}
-
-// BenchmarkProveVsParWide compares sequential and parallel proof search on
-// a wide top-level branching where the only success sits in the last
-// branch: the parallel fan-out does not have to exhaust the dead branches
-// one by one.
-func BenchmarkProveVsParWide(b *testing.B) {
-	var sb strings.Builder
-	// 8 branches; each dead branch runs a bounded-but-expensive loop that
-	// ends in failure, the last branch succeeds quickly.
-	sb.WriteString("countdown(0) :- nosuccess(never).\n")
-	sb.WriteString("countdown(N) :- N > 0, ins.c(N), sub(N, 1, M), countdown(M), del.c(N).\n")
-	for i := 0; i < 7; i++ {
-		fmt.Fprintf(&sb, "t :- branch%d, countdown(40).\n", i)
-		fmt.Fprintf(&sb, "branch%d :- ins.b%d.\n", i, i)
-	}
-	sb.WriteString("t :- ins.win.\n")
-	prog := parser.MustParse(sb.String())
-	g := parser.MustParseGoal("t", prog.VarHigh)
-	opts := engine.Options{MaxSteps: 50_000_000, MaxDepth: 100_000}
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := db.New()
-			res, err := engine.New(prog, opts).Prove(g, d)
-			if err != nil || !res.Success {
-				b.Fatal(err, res)
-			}
-		}
-	})
-	b.Run("parallel8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := db.New()
-			res, err := engine.New(prog, opts).ProvePar(g, d, 8)
-			if err != nil || !res.Success {
-				b.Fatal(err, res)
-			}
-		}
-	})
 }
 
 // BenchmarkServerThroughput drives the transaction service end to end over

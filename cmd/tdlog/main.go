@@ -37,7 +37,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	td "repro"
@@ -61,7 +63,6 @@ func main() {
 		seed        = flag.Int64("seed", 0, "simulator scheduling seed")
 		timeout     = flag.Duration("timeout", 30*time.Second, "simulator timeout")
 		interactive = flag.Bool("i", false, "interactive REPL after loading the program")
-		parWorkers  = flag.Int("par", 0, "parallel proof search with N workers (prover only)")
 		walDump     = flag.String("wal", "", "dump a server write-ahead log and exit")
 		manDump     = flag.String("manifest", "", "dump a snapshot manifest and exit")
 		wideDump    = flag.String("wide", "", "tabulate the wide events in a server JSONL file and exit")
@@ -123,7 +124,7 @@ func main() {
 	if err := run(flag.Arg(0), *goalFlag, options{
 		sim: *simFlag, trace: *trace, all: *all, dumpDB: *dumpDB,
 		classify: *classify, check: *check,
-		steps: *steps, seed: *seed, timeout: *timeout, par: *parWorkers,
+		steps: *steps, seed: *seed, timeout: *timeout,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tdlog:", err)
 		os.Exit(1)
@@ -135,7 +136,6 @@ type options struct {
 	steps                                    int64
 	seed                                     int64
 	timeout                                  time.Duration
-	par                                      int
 }
 
 func run(path, goalSrc string, opt options) error {
@@ -180,7 +180,7 @@ func run(path, goalSrc string, opt options) error {
 		return err
 	}
 
-	for i, g := range goals {
+	for _, g := range goals {
 		if len(goals) > 1 {
 			fmt.Printf("?- %s.\n", g)
 		}
@@ -215,41 +215,31 @@ func run(path, goalSrc string, opt options) error {
 			}
 			continue
 		}
-		var res *td.Result
-		if opt.par > 0 {
-			res, err = eng.ProvePar(g, d, opt.par)
-		} else {
-			res, err = eng.Prove(g, d)
-		}
+		res, err := eng.Prove(g, d)
 		if err != nil {
 			return err
 		}
 		if res.Success {
 			fmt.Printf("yes (%d steps)\n", res.Stats.Steps)
-			for name, val := range res.Bindings {
-				fmt.Printf("  %s = %s\n", name, val)
-			}
+			printBindings(os.Stdout, res.Bindings)
 		} else {
 			fmt.Printf("no (%d steps)\n", res.Stats.Steps)
 		}
-		if opt.trace {
-			// The prover builds a structured span tree alongside the flat
-			// witness trace; pretty-print it when present (ProvePar keeps
-			// only the flat trace).
-			if res.Spans != nil {
-				obs.WriteTree(os.Stdout, res.Spans)
-			} else {
-				for _, e := range res.Trace {
-					fmt.Println("  ", e)
-				}
-			}
+		if res.Spans != nil {
+			obs.WriteTree(os.Stdout, res.Spans)
 		}
-		_ = i
 	}
 	if opt.dumpDB {
 		fmt.Print(d)
 	}
 	return nil
+}
+
+// printBindings prints a witness's bindings one per line, in name order.
+func printBindings(w io.Writer, b map[string]term.Term) {
+	for _, name := range slices.Sorted(maps.Keys(b)) {
+		fmt.Fprintf(w, "  %s = %s\n", name, b[name])
+	}
 }
 
 // dumpWAL prints a server write-ahead log entry by entry: operations with

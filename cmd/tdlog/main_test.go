@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,5 +138,45 @@ func TestREPLEOF(t *testing.T) {
 	var out bytes.Buffer
 	if err := repl(prog, d, strings.NewReader(""), &out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureStdout returns what f printed to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	f()
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// Witness bindings print in name order, so two runs of one goal print the
+// same bytes (they used to follow map iteration order).
+func TestRunBindingsOrderIsStable(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		out := captureStdout(t, func() {
+			if err := run(testdata("bank.td"), "balance(A, B)", options{timeout: 5 * time.Second}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == 0 {
+			first = out
+			if want := "  A = alice\n  B = 100\n"; !strings.Contains(out, want) {
+				t.Fatalf("output %q does not contain %q", out, want)
+			}
+		} else if out != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, out, first)
+		}
 	}
 }

@@ -97,9 +97,7 @@ func repl(prog *td.Program, d *td.Database, in io.Reader, out io.Writer) error {
 			}
 			if res.Success {
 				fmt.Fprintf(out, "yes (%d steps)\n", res.Stats.Steps)
-				for name, val := range res.Bindings {
-					fmt.Fprintf(out, "  %s = %s\n", name, val)
-				}
+				printBindings(out, res.Bindings)
 				for _, e := range res.Trace {
 					fmt.Fprintln(out, "   ", e)
 				}

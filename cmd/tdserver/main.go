@@ -160,7 +160,7 @@ func serveCmd(args []string) error {
 		idle        = fs.Duration("idle", 0, "per-connection idle timeout (0 = default)")
 		nosync      = fs.Bool("nosync", false, "skip fsync on commit (throughput over durability)")
 		maxBatch    = fs.Int("commit.maxbatch", 0, "max commits per group-commit fsync batch (0 = default)")
-		maxDelay    = fs.Duration("commit.maxdelay", 0, "how long the flusher waits for more committers before fsyncing (0 = fsync immediately)")
+		maxDelay    = fs.Duration("commit.maxdelay", 0, "how long the flusher holds a batch open for more committers to join before fsyncing (0 = the 2ms default; negative disables accumulation)")
 		ckptEvery   = fs.Duration("checkpoint.interval", 0, "background checkpoint cadence (0 = no timer; CHECKPOINT verb always works)")
 		ckptWAL     = fs.Int64("checkpoint.walsize", 0, "checkpoint when the WAL exceeds this many bytes (0 = no size trigger)")
 		histWindow  = fs.Int("history.window", 0, "commit versions retained for ASOF/CHANGES (0 = default 256, negative = none)")

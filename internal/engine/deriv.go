@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ast"
@@ -26,13 +25,6 @@ type deriv struct {
 
 	steps    int64
 	maxDepth int
-
-	// depthLimit, when > 0, prunes paths longer than the limit instead of
-	// aborting (iterative deepening); cutoffs counts prunings, so callers
-	// (and the tabling guard) can tell whether a deeper iteration could
-	// find more.
-	depthLimit int
-	cutoffs    int64
 
 	// path holds canonical configuration keys along the current derivation
 	// path (for the cycle check); failed memoizes exhaustively explored
@@ -165,19 +157,12 @@ type deriv struct {
 	profMap  map[string]*predAccum
 	profCur  string
 	profLast time.Time
-
-	// shared, when non-nil, is an aggregate step counter for parallel
-	// search: the budget is enforced against it rather than local steps.
-	shared *atomic.Int64
-	// frontier, when non-nil, receives each configuration pruned by the
-	// iterative-deepening cutoff — ProvePar's successor collector.
-	frontier func(ast.Goal)
 }
 
 // newDeriv returns a search state for proving goal against d, reusing the
 // engine's pooled scratch (environment, renaming, tables, buffers) when one
-// is free. The pool is checked out atomically, so concurrent derivations
-// (ProvePar workers) simply fall back to fresh allocations.
+// is free. The pool is checked out atomically, so a second search on the
+// same engine while one is running simply falls back to fresh allocations.
 func newDeriv(e *Engine, d *db.DB, goal ast.Goal) *deriv {
 	dv := e.pool.Swap(nil)
 	if dv != nil {
@@ -206,8 +191,6 @@ func (dv *deriv) reset(d *db.DB) {
 	dv.err = nil
 	dv.steps = 0
 	dv.maxDepth = 0
-	dv.depthLimit = 0
-	dv.cutoffs = 0
 	dv.tableHits = 0
 	dv.loopHits = 0
 	dv.unifs = 0
@@ -241,8 +224,6 @@ func (dv *deriv) reset(d *db.DB) {
 	}
 	dv.profCur = ""
 	dv.profLast = time.Time{}
-	dv.shared = nil
-	dv.frontier = nil
 	dv.env.Reset()
 	dv.prn.Reset()
 	dv.keyCalls = 0
@@ -383,15 +364,6 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 	if depth > dv.maxDepth {
 		dv.maxDepth = depth
 	}
-	if dv.depthLimit > 0 && depth > dv.depthLimit {
-		// Iterative-deepening cutoff: prune this path; a deeper iteration
-		// will revisit it. Not a failure for tabling purposes.
-		dv.cutoffs++
-		if dv.frontier != nil {
-			dv.frontier(g)
-		}
-		return true
-	}
 	if depth > dv.e.opts.MaxDepth {
 		dv.err = ErrDepth
 		return false
@@ -441,7 +413,6 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 		}
 		return r
 	}
-	cutBefore := dv.cutoffs
 	outerTop := dv.loopTop
 	dv.loopTop = noLoop
 	cont := dv.step(g, func(res ast.Goal) ast.Goal { return res }, depth, wrapped)
@@ -455,12 +426,11 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 		dv.loopTop = outerTop
 	}
 	// Memoize failure only for subtrees explored exhaustively: no success
-	// below, no error, no iterative-deepening cutoff (a deeper iteration
-	// could still succeed from this configuration), and no path-cycle prune
-	// against a configuration still open above this frame. cont means the
-	// environment and the database are rolled back to their state at entry,
-	// so a key computed here is the key of the entry configuration.
-	if cont && !emitted && dv.failed != nil && dv.err == nil && dv.cutoffs == cutBefore && top >= depth {
+	// below, no error, and no path-cycle prune against a configuration still
+	// open above this frame. cont means the environment and the database are
+	// rolled back to their state at entry, so a key computed here is the key
+	// of the entry configuration.
+	if cont && !emitted && dv.failed != nil && dv.err == nil && top >= depth {
 		failedKey := key
 		if !keyed {
 			failedKey = dv.configKey(g)
@@ -578,21 +548,6 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 		if !dv.budget() {
 			return false
 		}
-		if dv.frontier != nil {
-			// Successor-collector mode (ProvePar): the body is ONE step, so
-			// it runs without the depth limit; only the post-iso residual is
-			// a frontier configuration.
-			savedLimit := dv.depthLimit
-			dv.depthLimit = 0
-			cont := dv.explore(g.Body, depth+1, func() bool {
-				dv.depthLimit = savedLimit
-				r := dv.explore(rebuild(ast.True{}), depth+1, emit)
-				dv.depthLimit = 0
-				return r
-			})
-			dv.depthLimit = savedLimit
-			return cont
-		}
 		dv.pushTrace(TraceEntry{Op: TraceIsoBegin})
 		cont := dv.explore(g.Body, depth+1, func() bool {
 			dv.pushTrace(TraceEntry{Op: TraceIsoEnd})
@@ -672,38 +627,31 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 	case ast.OpCall:
 		// Tabled dispatch: a call to a memoized predicate replays the
 		// cached answer multiset. Bypassed under un-isolated '|' (a
-		// sibling's update between replayed answers would be invisible),
-		// under iterative deepening (a cutoff makes the fill
-		// non-exhaustive), and under parallel search (shared budget /
-		// frontier collection); a re-entrant same-key call mid-fill falls
-		// through to the ordinary path below.
-		if dv.e.memo != nil && !dv.concTaint && dv.depthLimit == 0 && dv.shared == nil && dv.frontier == nil {
+		// sibling's update between replayed answers would be invisible); a
+		// re-entrant same-key call mid-fill falls through to the ordinary
+		// path below.
+		if dv.e.memo != nil && !dv.concTaint {
 			if handled, cont := dv.memoStep(g, rebuild, depth, emit); handled {
 				return cont
 			}
 		}
 		// First-argument dispatch: only rules whose head can unify with the
-		// call's (walked) first argument are attempted. The linear fallback
-		// tries every rule; both enumerate candidates in source order.
+		// call's (walked) first argument are attempted, in source order.
+		dv.dispatchHits++
 		var rules []ast.Rule
-		if dv.e.opts.NoClauseIndex {
-			rules = dv.e.prog.RulesFor(g.Atom.Pred, len(g.Atom.Args))
-		} else {
-			dv.dispatchHits++
-			planned := false
-			if dv.e.plan != nil && !dv.concTaint {
-				// Planned dispatch: an exact hit on the call's runtime
-				// adornment serves the reordered bodies. Misses (and any
-				// call under an un-isolated '|') keep textual order.
-				if pr, ok := dv.e.plan.plannedRules(g.Atom.Pred, g.Atom.Args, dv.env); ok {
-					rules = pr
-					planned = true
-					dv.planHits++
-				}
+		planned := false
+		if dv.e.plan != nil && !dv.concTaint {
+			// Planned dispatch: an exact hit on the call's runtime
+			// adornment serves the reordered bodies. Misses (and any
+			// call under an un-isolated '|') keep textual order.
+			if pr, ok := dv.e.plan.plannedRules(g.Atom.Pred, g.Atom.Args, dv.env); ok {
+				rules = pr
+				planned = true
+				dv.planHits++
 			}
-			if !planned {
-				rules = dv.e.idx.candidates(g.Atom.Pred, g.Atom.Args, dv.env)
-			}
+		}
+		if !planned {
+			rules = dv.e.idx.candidates(g.Atom.Pred, g.Atom.Args, dv.env)
 		}
 		if dv.e.opts.Profile {
 			dv.noteCall(g.Atom.Pred, len(rules))
@@ -743,17 +691,9 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 }
 
 // budget consumes one step from the budget; false means the search must
-// abort (dv.err set). Under parallel search the budget is the shared
-// aggregate across workers.
+// abort (dv.err set).
 func (dv *deriv) budget() bool {
 	dv.steps++
-	if dv.shared != nil {
-		if dv.shared.Add(1) > dv.e.opts.MaxSteps {
-			dv.err = ErrBudget
-			return false
-		}
-		return true
-	}
 	if dv.steps > dv.e.opts.MaxSteps {
 		dv.err = ErrBudget
 		return false

@@ -13,11 +13,28 @@ import (
 )
 
 // First-argument dispatch must be invisible: for every paper example the
-// answer sets AND the witness traces must be identical with the clause
-// index on versus the linear-scan fallback. This is the semantic safety
-// net for the compiled clause table — dispatch may only skip rules whose
-// head could never have unified anyway, and must preserve source order
-// among the rules it does try.
+// answer sets AND the witness traces must be identical with the compiled
+// clause index versus a linear scan over every rule of the predicate. This
+// is the semantic safety net for the clause table — dispatch may only skip
+// rules whose head could never have unified anyway, and must preserve
+// source order among the rules it does try. The linear scan is a test
+// reference, not an engine mode: newEngine swaps in an index whose pick
+// returns every rule for every call.
+
+// newEngine builds the engine under test. With linear set, the compiled
+// clause index is replaced by one that never narrows: per predicate, all
+// rules in source order as both the unbound-argument list and the no-bucket
+// fallback, and no constant buckets, so pick yields the full rule list
+// whatever the call's first argument.
+func newEngine(prog *ast.Program, opts Options, linear bool) *Engine {
+	e := New(prog, opts)
+	if linear {
+		for k, pc := range e.idx.byPred {
+			e.idx.byPred[k] = &predClauses{all: pc.all, varOnly: pc.all}
+		}
+	}
+	return e
+}
 
 // dispatchQueries lists, per example program, extra goals that exercise
 // enumeration and unbound-first-argument calls (where the index must fall
@@ -65,9 +82,8 @@ func runProve(t *testing.T, prog *ast.Program, g ast.Goal, noIndex bool) (bool, 
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Trace = true
-	opts.NoClauseIndex = noIndex
 	d := freshDB(t, prog)
-	res, err := New(prog, opts).Prove(g, d)
+	res, err := newEngine(prog, opts, noIndex).Prove(g, d)
 	if err != nil {
 		t.Fatalf("prove (noIndex=%v): %v", noIndex, err)
 	}
@@ -157,8 +173,7 @@ const answerSetCap = 64
 func answerSet(t *testing.T, prog *ast.Program, g ast.Goal, noIndex bool) []string {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.NoClauseIndex = noIndex
-	sols, _, err := New(prog, opts).Solutions(g, freshDB(t, prog), answerSetCap)
+	sols, _, err := newEngine(prog, opts, noIndex).Solutions(g, freshDB(t, prog), answerSetCap)
 	if err != nil {
 		t.Fatalf("solutions (noIndex=%v): %v", noIndex, err)
 	}

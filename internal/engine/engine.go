@@ -66,12 +66,6 @@ type Options struct {
 	// every successful proof. With SpanSink nil and Trace off the engine
 	// does no span work at all — the zero-alloc hot path is unchanged.
 	SpanSink obs.Sink
-	// NoClauseIndex disables first-argument clause dispatch and falls back
-	// to trying every rule of the called predicate in source order. The
-	// answer set and witness traces are identical either way (the index is
-	// purely an optimization); the flag exists for the equivalence tests
-	// and for measuring the dispatch win.
-	NoClauseIndex bool
 	// Watch, when non-nil, is invoked after every database-changing step,
 	// on every explored execution path. Returning a non-nil error aborts
 	// the search with a *WatchViolation that carries the trace of the
@@ -94,9 +88,8 @@ type Options struct {
 	// bodies; everything else keeps textual order. The answer set is
 	// unchanged (plan_test.go and the corpus differential test check
 	// this); only the search order within read-only conjunctions moves.
-	// Leaving Plan off (the default, and the server's -noplan fallback)
-	// reproduces the unplanned engine exactly. Plan composes with the
-	// clause index; under NoClauseIndex it is ignored.
+	// Leaving Plan off (the library default; the server always sets it)
+	// reproduces the unplanned engine exactly.
 	Plan bool
 	// Memo, when non-nil, enables memo tables for tabling-eligible derived
 	// predicates (see memo.go): a repeat call with the same binding pattern
@@ -442,10 +435,20 @@ func (e *Engine) mayRecur(g ast.Goal) bool {
 	return found
 }
 
-// Prove searches for a successful execution of goal starting from d.
-// On success, d is left in the final state of the witness execution; on
-// failure (or error) d is rolled back to its initial state.
-func (e *Engine) Prove(goal ast.Goal, d *db.DB) (*Result, error) {
+// search is the one way into proof search: every exported entry point is a
+// thin shell over it. It refuses a vet-rejected program, resolves goal
+// against the program, checks out the pooled search state, and explores
+// from d, failing closed — d rolled back to its state at entry, the error
+// returned and Stats.Truncated set — when the step budget or the depth
+// limit cuts the search short.
+//
+// each == nil asks for a witness: the search stops at the first successful
+// execution and leaves that execution's changes on d's undo trail, above
+// the caller's mark, with the bindings, trace and span tree in the Result.
+// Otherwise each receives the answer bindings of every successful
+// execution, with d reflecting it, until each returns false or max
+// executions were seen (max <= 0 means all), and d is rolled back.
+func (e *Engine) search(goal ast.Goal, d *db.DB, max int, each func(map[string]term.Term) bool) (*Result, error) {
 	if e.vetErr != nil {
 		return nil, e.vetErr
 	}
@@ -455,26 +458,26 @@ func (e *Engine) Prove(goal ast.Goal, d *db.DB) (*Result, error) {
 	}
 	dv := newDeriv(e, d, goal)
 	defer dv.release()
-	res := &Result{}
 	dbMark := d.Mark()
-	found := false
-	cont := dv.explore(goal, 0, func() bool {
-		found = true
-		return false // stop at first success, keeping the state
+	n := 0
+	dv.explore(goal, 0, func() bool {
+		n++
+		if each == nil {
+			return false // stop at the first success, keeping the state
+		}
+		return each(bindingsOf(goal, dv.env)) && (max <= 0 || n < max)
 	})
-	res.Stats = dv.stats()
+	res := &Result{Success: n > 0, Stats: dv.stats()}
+	res.Stats.Successes = int64(n)
 	if dv.err != nil {
 		d.Undo(dbMark)
 		res.Stats.Truncated = errors.Is(dv.err, ErrBudget) || errors.Is(dv.err, ErrDepth)
 		return res, dv.err
 	}
-	if cont || !found {
-		// Exhausted without success.
+	if each != nil || n == 0 {
 		d.Undo(dbMark)
 		return res, nil
 	}
-	res.Success = true
-	res.Stats.Successes = 1
 	res.Bindings = bindingsOf(goal, dv.env)
 	if e.opts.Trace {
 		res.Trace = append([]TraceEntry(nil), dv.trace...)
@@ -483,111 +486,56 @@ func (e *Engine) Prove(goal ast.Goal, d *db.DB) (*Result, error) {
 			e.opts.SpanSink.Emit(res.Spans)
 		}
 	}
-	d.ResetTrail()
 	return res, nil
 }
 
-// ProveID is Prove with iterative-deepening search. Plain depth-first
-// search can dive into an infinite derivation branch (full TD is
-// RE-complete — such branches exist) even when another branch succeeds at
-// small depth. ProveID explores with growing depth limits (startDepth,
-// then doubling), so it finds a successful execution whenever one exists
-// at ANY finite depth, and reports definite failure when some iteration
-// exhausts the space without cutoffs. The step budget still bounds total
-// work across iterations.
-func (e *Engine) ProveID(goal ast.Goal, d *db.DB, startDepth int) (*Result, error) {
-	if e.vetErr != nil {
-		return nil, e.vetErr
+// Prove searches for a successful execution of goal starting from d.
+// On success, d is left in the final state of the witness execution; on
+// failure (or error) d is rolled back to its initial state.
+func (e *Engine) Prove(goal ast.Goal, d *db.DB) (*Result, error) {
+	res, err := e.search(goal, d, 0, nil)
+	if err == nil && res.Success {
+		d.ResetTrail()
 	}
-	goal, err := e.prog.ResolveGoal(goal)
-	if err != nil {
-		return nil, err
+	return res, err
+}
+
+// ProveDelta is Prove for transactional callers (the transaction server,
+// which manages commit and rollback itself). It searches exactly like
+// Prove, but on success it leaves the witness execution's changes on d's
+// undo trail — instead of committing them with ResetTrail — and returns
+// them as an ordered write set. The caller owns the trail: Undo back to its
+// own mark to abort, or ResetTrail to commit. On failure or error, d is
+// rolled back to the state at entry (changes from earlier ProveDelta calls
+// on the same trail are untouched).
+func (e *Engine) ProveDelta(goal ast.Goal, d *db.DB) (*Result, []db.Op, error) {
+	dbMark := d.Mark()
+	res, err := e.search(goal, d, 0, nil)
+	if err != nil || !res.Success {
+		return res, nil, err
 	}
-	if startDepth < 1 {
-		startDepth = 16
-	}
-	res := &Result{}
-	var spent int64
-	for limit := startDepth; ; limit *= 2 {
-		dv := newDeriv(e, d, goal)
-		dv.depthLimit = limit
-		dv.steps = spent // budget is shared across iterations
-		dbMark := d.Mark()
-		found := false
-		cont := dv.explore(goal, 0, func() bool {
-			found = true
-			return false
-		})
-		spent = dv.steps
-		res.Stats = dv.stats()
-		res.Stats.Steps = spent
-		if dv.err != nil {
-			d.Undo(dbMark)
-			res.Stats.Truncated = errors.Is(dv.err, ErrBudget) || errors.Is(dv.err, ErrDepth)
-			err := dv.err
-			dv.release()
-			return res, err
-		}
-		if !cont && found {
-			res.Success = true
-			res.Stats.Successes = 1
-			res.Bindings = bindingsOf(goal, dv.env)
-			if e.opts.Trace {
-				res.Trace = append([]TraceEntry(nil), dv.trace...)
-				res.Spans = dv.buildSpans(goal.String(), res.Stats)
-				if e.opts.SpanSink != nil {
-					e.opts.SpanSink.Emit(res.Spans)
-				}
-			}
-			d.ResetTrail()
-			dv.release()
-			return res, nil
-		}
-		d.Undo(dbMark)
-		cutoffs := dv.cutoffs
-		dv.release()
-		if cutoffs == 0 {
-			// Exhausted with no cutoff: definite failure.
-			return res, nil
-		}
-		if limit > e.opts.MaxDepth {
-			res.Stats.Truncated = true
-			return res, ErrDepth
-		}
-	}
+	return res, d.DeltaSince(dbMark), nil
 }
 
 // Solutions enumerates executions of goal from d, up to max of them
 // (max <= 0 means all). Each solution carries the answer bindings and a
 // clone of the final database. d itself is always rolled back.
 func (e *Engine) Solutions(goal ast.Goal, d *db.DB, max int) ([]Solution, *Result, error) {
-	if e.vetErr != nil {
-		return nil, nil, e.vetErr
-	}
-	goal, err := e.prog.ResolveGoal(goal)
-	if err != nil {
-		return nil, nil, err
-	}
-	dv := newDeriv(e, d, goal)
-	defer dv.release()
 	var sols []Solution
-	dbMark := d.Mark()
-	dv.explore(goal, 0, func() bool {
-		sols = append(sols, Solution{
-			Bindings: bindingsOf(goal, dv.env),
-			Final:    d.Clone(),
-		})
-		return max <= 0 || len(sols) < max
+	res, err := e.search(goal, d, max, func(b map[string]term.Term) bool {
+		sols = append(sols, Solution{Bindings: b, Final: d.Clone()})
+		return true
 	})
-	d.Undo(dbMark)
-	res := &Result{Success: len(sols) > 0}
-	res.Stats = dv.stats()
-	res.Stats.Successes = int64(len(sols))
-	if dv.err != nil {
-		res.Stats.Truncated = errors.Is(dv.err, ErrBudget) || errors.Is(dv.err, ErrDepth)
-		return sols, res, dv.err
-	}
-	return sols, res, nil
+	return sols, res, err
+}
+
+// Enumerate runs emit once per successful execution of goal with that
+// execution's answer bindings, up to max of them (max <= 0 means all), and
+// rolls d back afterwards. Unlike Solutions it does not clone final
+// database states, so it is the right shape for query serving. emit must
+// not be nil.
+func (e *Engine) Enumerate(goal ast.Goal, d *db.DB, max int, emit func(map[string]term.Term) bool) (*Result, error) {
+	return e.search(goal, d, max, emit)
 }
 
 // bindingsOf extracts the values of goal's named free variables from env.

@@ -68,13 +68,11 @@ import (
 // fills the table by exhausting the sub-search, then replays; repeat calls
 // replay directly.
 //
-// The memo path is bypassed wherever its semantics would not hold:
-// under un-isolated '|' (concTaint — a sibling's update between two
-// replayed answers would be invisible), under iterative deepening
-// (depthLimit — a cutoff makes the fill non-exhaustive), and under
-// parallel search (shared budget / frontier collector). A same-key
-// re-entrant call during a fill (recursive tabled predicate) falls through
-// to ordinary rule dispatch, which records exactly the untabled answers.
+// The memo path is bypassed where its semantics would not hold: under
+// un-isolated '|' (concTaint — a sibling's update between two replayed
+// answers would be invisible). A same-key re-entrant call during a fill
+// (recursive tabled predicate) falls through to ordinary rule dispatch,
+// which records exactly the untabled answers.
 // With Options.Memo nil the prove hot path pays a single nil check.
 
 // memoTagVar is the low-3-bit tag of a free-variable slot in a memo key.

@@ -357,24 +357,6 @@ func spanTreeContains(s *obs.Span, want string) bool {
 	return false
 }
 
-// TestMemoProveIDBypass: iterative deepening must not consult the table (a
-// cutoff would make fills non-exhaustive), and plain DFS afterwards still
-// works.
-func TestMemoProveIDBypass(t *testing.T) {
-	e, d := memoSetup(t, memoProg, nil)
-	goal := parser.MustParseGoal("reach(a, d)", 1000)
-	res, err := e.ProveID(goal, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success {
-		t.Fatal("ProveID failed")
-	}
-	if res.Stats.MemoHits != 0 || res.Stats.MemoMisses != 0 {
-		t.Errorf("ProveID consulted the memo table: %+v", res.Stats)
-	}
-}
-
 // TestMemoConcBypass: calls interleaving under un-isolated '|' must not be
 // served from the table — a sibling's update between replayed answers
 // would be invisible. The differential check: a concurrent sibling inserts

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/parser"
+	"repro/internal/term"
 )
 
 // genProgram emits a random but well-formed TD program from a small
@@ -229,102 +230,43 @@ func TestTruncatedFlagOnBudget(t *testing.T) {
 	}
 }
 
-// --- Iterative deepening --------------------------------------------------
+// --- Failing closed -------------------------------------------------------
 
-func TestProveIDFindsSuccessPastDivergingBranch(t *testing.T) {
-	// The first rule of t diverges (grows the database forever); the
-	// second succeeds at depth 2. Plain DFS commits to rule order and
-	// burns the whole budget inside the diverging branch; iterative
-	// deepening finds the success.
-	src := `
+// Depth-first search is incomplete beside a diverging branch: the first rule
+// of t grows the database forever, the second would succeed at depth 2, and
+// rule order commits the search to the first. The engine says so by failing
+// closed — ErrBudget, Stats.Truncated, the database exactly as at entry —
+// never by answering "no", and the pooled search state is reset for the
+// next goal on the same engine.
+func TestDivergingBranchFailsClosed(t *testing.T) {
+	prog := parser.MustParse(`
 		t :- diverge(0).
 		t :- ins.done.
 		diverge(N) :- ins.mark(N), add(N, 1, M), diverge(M).
-	`
-	prog := parser.MustParse(src)
-	g := parser.MustParseGoal("t", prog.VarHigh)
-
-	// Plain DFS: exhausts the budget.
-	d1 := db.New()
-	_, err := New(prog, Options{MaxSteps: 30_000, MaxDepth: 1_000_000}).Prove(g, d1)
-	if !errors.Is(err, ErrBudget) && !errors.Is(err, ErrDepth) {
-		t.Fatalf("plain DFS: err = %v, want budget/depth exhaustion", err)
-	}
-
-	// IDDFS: finds the shallow success.
-	d2 := db.New()
-	res, err := New(prog, Options{MaxSteps: 30_000, MaxDepth: 1_000_000}).ProveID(g, d2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success {
-		t.Fatal("IDDFS missed the shallow success")
-	}
-	if !d2.Contains("done", nil) {
-		t.Fatal("final state wrong")
-	}
-}
-
-func TestProveIDDefiniteFailure(t *testing.T) {
-	// Finite space, no success: IDDFS must report failure (no error) once
-	// an iteration completes without cutoffs.
-	prog := parser.MustParse(`
-		t :- p(zzz), ins.done.
-		p(a).
+		u :- ins.done.
 	`)
-	g := parser.MustParseGoal("t", prog.VarHigh)
-	d, _ := db.FromFacts(prog.Facts)
-	res, err := NewDefault(prog).ProveID(g, d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Success {
-		t.Fatal("false success")
-	}
-}
+	e := New(prog, Options{MaxSteps: 30_000, MaxDepth: 1_000_000, LoopCheck: true, Table: true})
+	d := db.New()
+	d.Insert("seed", []term.Term{term.NewSym("s")})
+	d.ResetTrail()
+	before := d.Fingerprint()
 
-func TestProveIDAgreesWithProve(t *testing.T) {
-	src := `
-		edge(a, b). edge(b, c).
-		path(X, Y) :- edge(X, Y).
-		path(X, Y) :- edge(X, Z), path(Z, Y).
-	`
-	prog := parser.MustParse(src)
-	for _, goal := range []string{"path(a, c)", "path(c, a)"} {
-		g := parser.MustParseGoal(goal, prog.VarHigh)
-		d1, _ := db.FromFacts(prog.Facts)
-		r1, err := NewDefault(prog).Prove(g, d1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, _ := db.FromFacts(prog.Facts)
-		r2, err := NewDefault(prog).ProveID(g, d2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Success != r2.Success {
-			t.Fatalf("%s: DFS=%v IDDFS=%v", goal, r1.Success, r2.Success)
-		}
-	}
-}
-
-func TestProveIDBindingsAndBudget(t *testing.T) {
-	prog := parser.MustParse(`p(a). p(b).`)
-	g := parser.MustParseGoal("p(X)", prog.VarHigh)
-	d, _ := db.FromFacts(prog.Facts)
-	res, err := NewDefault(prog).ProveID(g, d, 1)
-	if err != nil || !res.Success {
-		t.Fatal(err, res)
-	}
-	if res.Bindings["X"].String() == "" {
-		t.Fatal("no binding")
-	}
-	// A diverging program with no success must hit the step budget.
-	prog2 := parser.MustParse(`t :- diverge(0).
-		diverge(N) :- ins.mark(N), add(N, 1, M), diverge(M).`)
-	g2 := parser.MustParseGoal("t", prog2.VarHigh)
-	_, err = New(prog2, Options{MaxSteps: 5_000, MaxDepth: 1_000_000}).ProveID(g2, db.New(), 4)
+	res, err := e.Prove(parser.MustParseGoal("t", prog.VarHigh), d)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if res == nil || res.Success || !res.Stats.Truncated {
+		t.Fatalf("result = %+v, want a truncated non-success", res)
+	}
+	if d.Fingerprint() != before || d.Contains("done", nil) {
+		t.Fatal("database not rolled back to its state at entry")
+	}
+
+	res, err = e.Prove(parser.MustParseGoal("u", prog.VarHigh), d)
+	if err != nil || !res.Success || res.Stats.Truncated {
+		t.Fatalf("terminating goal after a truncated search: res=%+v err=%v", res, err)
+	}
+	if res.Stats.Steps >= 30_000 || !d.Contains("done", nil) {
+		t.Fatalf("pooled search state not reset: %+v", res.Stats)
 	}
 }

@@ -47,9 +47,6 @@ func TestOptionsVetRejectsAtLoadTime(t *testing.T) {
 	}
 
 	// Every Prove-family entry point is guarded.
-	if _, err := e.ProveID(goal, d, 1); !errors.As(err, &ve) {
-		t.Errorf("ProveID error = %v, want *analysis.VetError", err)
-	}
 	if _, _, err := e.Solutions(goal, d, 1); !errors.As(err, &ve) {
 		t.Errorf("Solutions error = %v, want *analysis.VetError", err)
 	}
@@ -58,9 +55,6 @@ func TestOptionsVetRejectsAtLoadTime(t *testing.T) {
 	}
 	if _, err := e.Enumerate(goal, d, 1, nil); !errors.As(err, &ve) {
 		t.Errorf("Enumerate error = %v, want *analysis.VetError", err)
-	}
-	if _, err := e.ProvePar(goal, d, 2); !errors.As(err, &ve) {
-		t.Errorf("ProvePar error = %v, want *analysis.VetError", err)
 	}
 }
 

@@ -80,11 +80,6 @@ type Options struct {
 	TraceSink obs.Sink
 	// Logger receives slow-transaction reports. Default slog.Default().
 	Logger *slog.Logger
-	// NoVet disables load-time static analysis of uploaded programs. By
-	// default LOAD rejects programs whose tdvet report carries
-	// error-severity diagnostics (unsafe updates, recursion through '|');
-	// the VET verb works either way.
-	NoVet bool
 	// CheckpointInterval checkpoints the store on a wall-clock cadence
 	// (durable mode only). Zero disables the timer trigger; the manual
 	// CHECKPOINT verb works regardless.
@@ -120,12 +115,6 @@ type Options struct {
 	// is served by PROFILE dump, the STATS prover_profile section, and the
 	// td_prover_pred_us{pred=} metric family.
 	Profile bool
-	// NoPlan disables the tdplan static planner for session engines: rule
-	// bodies evaluate in textual order, reproducing pre-planner behavior
-	// exactly. Planning is on by default (answer sets are unchanged by
-	// construction; only literal order inside sequential conjunctions
-	// differs). The PLAN verb works either way.
-	NoPlan bool
 	// Table selects tabled evaluation for session engines: "auto" tables
 	// the top-K tabling-eligible predicates by observed prover profile,
 	// "all" every eligible one, a comma-separated list exactly those named,
@@ -281,10 +270,8 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: initial program: %w", err)
 	}
 	facts := analysis.Analyze(prog)
-	if !opts.NoVet {
-		if verr := facts.Vet().Err(); verr != nil {
-			return nil, fmt.Errorf("server: initial program: %w", verr)
-		}
+	if verr := facts.Vet().Err(); verr != nil {
+		return nil, fmt.Errorf("server: initial program: %w", verr)
 	}
 	s := &Server{
 		opts:     opts,
@@ -332,11 +319,9 @@ func New(opts Options) (*Server, error) {
 			}
 			return out
 		})
-	if !opts.NoPlan {
-		// Seed the eligibility gauge from the initial program before any
-		// session connects; session engine builds keep it merged.
-		s.notePlan(facts.Plan(), false)
-	}
+	// Seed the eligibility gauge from the initial program before any
+	// session connects; session engine builds keep it merged.
+	s.notePlan(facts.Plan(), false)
 	s.memo = engine.NewMemoStore(opts.TableMaxMB)
 	memoCounter := func(pick func(h, m, i, e int64) int64) func() int64 {
 		return func() int64 { return pick(s.memo.Counters()) }
@@ -1031,7 +1016,8 @@ func (s *Server) Stats() StatsSnapshot {
 	if prof := s.proverProfile(); len(prof) > 0 {
 		snap.ProverProfile = prof
 	}
-	// Planner counters: zero (and omitted) under NoPlan.
+	// Planner counters: zero (and omitted) while the planner found nothing
+	// to reorder and no call hit a planned variant.
 	snap.PlanReorders = s.stats.planReorders.Load()
 	snap.PlanHits = s.stats.planHits.Load()
 	s.mu.Lock()

@@ -115,9 +115,10 @@ func (sess *session) newEngine(prog *ast.Program, vet bool) *engine.Engine {
 		Table:     true,
 		MaxSteps:  sess.srv.opts.MaxSteps,
 		Profile:   sess.profOn || sess.srv.opts.Profile,
-		// tdplan literal reordering, on by default; -noplan reproduces the
-		// pre-planner engine exactly.
-		Plan: !sess.srv.opts.NoPlan,
+		// tdplan literal reordering: every session engine plans (answer
+		// sets are unchanged; plan_test.go checks it against the library's
+		// unplanned default).
+		Plan: true,
 		// Span emission is handled by the session (it stamps wall-clock
 		// duration and owns slow-transaction reporting), not an engine sink.
 		Trace: sess.tracing(),
@@ -268,8 +269,8 @@ func (sess *session) handleLoad(req *Request) *Response {
 	}
 	// One analysis serves the vet gate and the engine: the candidate engine
 	// is built first and installed only if its report carries no error.
-	eng := sess.newEngine(prog, !sess.srv.opts.NoVet)
-	if rep := eng.VetReport(); rep != nil && rep.Err() != nil {
+	eng := sess.newEngine(prog, true)
+	if rep := eng.VetReport(); rep.Err() != nil {
 		sess.srv.stats.vetRejects.Add(1)
 		resp := fail(CodeVet, "program rejected by static analysis: %v", rep.Err())
 		resp.Diagnostics = rep.Diags
@@ -703,7 +704,7 @@ func (sess *session) handleVet(req *Request) *Response {
 // reorder decisions, and tabling-safety certificates — over a submitted
 // program without installing it, or, when no program is submitted, over
 // the session's loaded rulebase. Pure analysis: it never touches the
-// session engine or the shared database, and it works under NoPlan too.
+// session engine or the shared database.
 func (sess *session) handlePlan(req *Request) *Response {
 	if req.Program != "" {
 		rep, err := analysis.PlanSource(req.Program)

@@ -217,7 +217,7 @@ type StatsSnapshot struct {
 	SLOs          []SLOSnapshot          `json:"slos,omitempty"`
 
 	// Added with the tdplan static planner (PR 9). All zero (and omitted)
-	// under Options.NoPlan or when the planner found nothing to do.
+	// when the planner found nothing to do.
 	PlanReorders        int64 `json:"plan_reorders,omitempty"`
 	PlanHits            int64 `json:"plan_hits,omitempty"`
 	PlanTablingEligible int64 `json:"plan_tabling_eligible,omitempty"`

@@ -84,23 +84,6 @@ func TestLoadRejectsVetErrors(t *testing.T) {
 	}
 }
 
-func TestNoVetOptionDisablesLoadVetting(t *testing.T) {
-	s := newBankServer(t, Options{NoVet: true})
-	c := s.InProcClient()
-	defer c.Close()
-
-	if err := c.Load(vetBadProg); err != nil {
-		t.Fatalf("Load with NoVet should succeed: %v", err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if st.VetRejects != 0 {
-		t.Errorf("Stats.VetRejects = %d, want 0 under NoVet", st.VetRejects)
-	}
-}
-
 func TestInitialProgramVetted(t *testing.T) {
 	_, err := New(Options{Program: vetBadProg})
 	if err == nil {
@@ -109,10 +92,5 @@ func TestInitialProgramVetted(t *testing.T) {
 	var ve *analysis.VetError
 	if !errors.As(err, &ve) {
 		t.Errorf("New error = %T (%v), want wrapped *analysis.VetError", err, err)
-	}
-	if s, err := New(Options{Program: vetBadProg, NoVet: true}); err != nil {
-		t.Errorf("New with NoVet should accept the program: %v", err)
-	} else {
-		s.Close()
 	}
 }
