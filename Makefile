@@ -53,8 +53,11 @@ cover:
 # contended (shared accounts) pair, and the genome-lab workflow
 # (BenchmarkServerLabFlow) —
 # "durable" (real WAL + fsync per acknowledged commit, including the
-# stage-sampled variant), and "enabled" (full structured tracing into a
-# sink). Durable throughput runs time-based (fsync cost varies too much
+# stage-sampled variant), "enabled" (full structured tracing into a
+# sink), and "db" (a keyed table's Clone, whose B/op is the cost of a copy,
+# and insert-probe-delete churn in first-argument buckets of 1, 64 and
+# 4 096 rows, at 1 000 iterations because one Clone takes milliseconds).
+# Durable throughput runs time-based (fsync cost varies too much
 # across machines for a fixed iteration count). Fixed-iteration sections
 # run -count=10, the durable section
 # -count=5, and benchjson records the median repetition per benchmark:
@@ -76,6 +79,8 @@ bench:
 		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge $(BENCH) -o $(BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkProverTransferTraced$$|BenchmarkServerThroughputTraced$$' \
 		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label enabled -merge $(BENCH) -o $(BENCH)
+	$(GO) test -run '^$$' -bench 'BenchmarkDBClone$$|BenchmarkDBBucketChurn$$' \
+		-benchtime=1000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label db -merge $(BENCH) -o $(BENCH)
 	@cat $(BENCH)
 
 # Bounded-recovery numbers, recorded as BENCH_PR6.json: cold-start time

@@ -407,6 +407,56 @@ func BenchmarkDBInsertDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkDBClone times Clone of a keyed table: 16 384 rows p(i, i), each
+// alone in its first-argument bucket. B/op is what a copy of the table
+// costs: the copy shares the stored rows and each bucket's row slice, and
+// builds its own row map, index and bucket headers.
+func BenchmarkDBClone(b *testing.B) {
+	d := db.New()
+	row := make([]td.Term, 2)
+	for i := 0; i < 16384; i++ {
+		row[0], row[1] = td.Int(int64(i)), td.Int(int64(i))
+		d.Insert("p", row)
+	}
+	d.ResetTrail()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = d.Clone()
+	}
+}
+
+// BenchmarkDBBucketChurn times one insert, one first-solution probe and one
+// delete within a first-argument bucket of n rows. The insert lands mid
+// bucket, so it moves half the bucket's row pointers; the probe hands the
+// bucket out, so the delete copies it. Per-op cost grows with n by that
+// copy and move alone: no sort, no per-bucket map.
+func BenchmarkDBBucketChurn(b *testing.B) {
+	for _, n := range []int{1, 64, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			d := db.New()
+			k := td.Sym("k")
+			for i := 0; i < n; i++ {
+				d.Insert("p", []td.Term{k, td.Int(int64(2 * i))})
+			}
+			d.ResetTrail()
+			mid := []td.Term{k, td.Int(int64(2*(n/2) + 1))} // odd: not stored
+			env := term.NewEnv()
+			probe := []td.Term{k, term.NewVar("X", 0)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Insert("p", mid)
+				mark := env.Mark()
+				d.Scan("p", probe, env, func() bool { return false })
+				env.Undo(mark)
+				d.Delete("p", mid)
+				d.ResetTrail()
+			}
+		})
+	}
+}
+
 // BenchmarkServerThroughput drives the transaction service end to end over
 // the in-process transport: n concurrent clients each committing random
 // iso(transfer(...)) transactions against a small, contended bank. It

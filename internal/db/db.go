@@ -13,16 +13,20 @@
 // Tuples are keyed by compact binary keys built from interned term codes
 // (term.AppendKey): 8 bytes per argument, no string construction. Presence
 // checks, no-op updates, and ground scans allocate nothing — see
-// alloc_test.go for the enforced ceilings. Each relation (and each
-// first-argument index bucket) caches its deterministic scan order and
-// invalidates it on mutation, so repeated scans of a stable relation sort
-// once per mutation epoch instead of once per call.
+// alloc_test.go for the enforced ceilings. A first-argument index bucket
+// keeps its rows in the deterministic scan order, as one slice that Scan
+// hands out as its candidate set and a mutation copies if it was handed
+// out, so a bound-first-argument scan never sorts. A whole relation caches
+// its sorted scan order and invalidates it on mutation, so repeated full
+// scans of a stable relation sort once per mutation epoch.
 package db
 
 import (
 	"encoding/binary"
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,8 +42,11 @@ type DB struct {
 	hashLo   uint64
 	hashHi   uint64
 	useIndex bool
-	detScan  bool
 	readHook ReadHook
+
+	// loading is set while load fills the DB: bucket inserts append
+	// unsorted, and load sorts every bucket once at the end.
+	loading bool
 
 	// keyBuf is scratch for building binary tuple keys. It is reused across
 	// calls; no method keeps a reference to it past the point where control
@@ -68,8 +75,9 @@ type Counters struct {
 	IndexHits int64
 	// Scans counts Scans that had to walk a whole relation.
 	Scans int64
-	// OrderRebuilds counts deterministic scan-order cache rebuilds (the
-	// sort-on-first-scan-after-mutation cost PR 2 introduced caching for).
+	// OrderRebuilds counts rebuilds of a relation's cached scan order: the
+	// sort a full scan pays once per mutation epoch. A bound-first-argument
+	// scan rebuilds nothing, because its bucket is kept in scan order.
 	OrderRebuilds int64
 }
 
@@ -167,14 +175,13 @@ type relation struct {
 	// would never be read — a probe with the argument bound is ground and
 	// goes through rows, one with it unbound scans the relation.
 	index map[uint64]*ibucket
-	// order is the cached snapshot of rows used by Scan; nil when stale
-	// (invalidated by every mutation). sorted reports whether it is in
-	// deterministic (term-compare) order.
-	order  [][]term.Term
-	sorted bool
+	// order is the cached sorted snapshot of rows used by a full Scan; nil
+	// when stale (invalidated by every mutation). It is never mutated in
+	// place, so a Clone shares it.
+	order [][]term.Term
 	// free recycles the last emptied index bucket. Delete-then-reinsert
 	// churn on a single-row bucket (the transactional update idiom) would
-	// otherwise allocate a bucket and its map on every round trip.
+	// otherwise allocate a bucket on every round trip.
 	free *ibucket
 	// seedLo/seedHi are the fingerprint prefix hashes of (pred, arity),
 	// computed once so per-tuple hashing only folds the argument codes.
@@ -192,16 +199,54 @@ type relation struct {
 	fpHi uint64
 }
 
-// ibucket is one first-argument index bucket, with the same per-bucket
-// scan-order cache as the relation and its own slice of the relation's
-// content fingerprint (the XOR of its rows' tuple hashes, so an emptied
-// bucket is back at {0, 0}).
+// ibucket is one first-argument index bucket: its rows in sortRows order,
+// and its own slice of the relation's content fingerprint (the XOR of its
+// rows' tuple hashes, so an emptied bucket is back at {0, 0}). Scan hands
+// rows out as its candidate set and Clone gives it to the copy, each
+// marking it shared; a mutation of a shared slice copies it first, so a
+// slice once handed out never changes.
 type ibucket struct {
-	rows   map[string][]term.Term
-	order  [][]term.Term
-	sorted bool
+	rows   [][]term.Term
+	shared bool
 	fpLo   uint64
 	fpHi   uint64
+}
+
+// search returns the position of row in the bucket, or the position it
+// would take, and whether it is there.
+func (b *ibucket) search(row []term.Term) (int, bool) {
+	return slices.BinarySearchFunc(b.rows, row, compareRows)
+}
+
+// insert puts row, which the bucket does not hold, at its sorted position.
+func (b *ibucket) insert(row []term.Term) {
+	i, _ := b.search(row)
+	if !b.shared {
+		b.rows = slices.Insert(b.rows, i, row)
+		return
+	}
+	rows := make([][]term.Term, len(b.rows)+1)
+	copy(rows, b.rows[:i])
+	rows[i] = row
+	copy(rows[i+1:], b.rows[i:])
+	b.rows, b.shared = rows, false
+}
+
+// remove takes out row, which the bucket holds.
+func (b *ibucket) remove(row []term.Term) {
+	i, ok := b.search(row)
+	if !ok { // only while loading, when the bucket is not yet sorted
+		i = slices.IndexFunc(b.rows, func(r []term.Term) bool { return compareRows(r, row) == 0 })
+	}
+	if !b.shared {
+		b.rows = slices.Delete(b.rows, i, i+1)
+		return
+	}
+	// Keep the freed slot: the transactional update idiom re-inserts next.
+	rows := make([][]term.Term, len(b.rows)-1, len(b.rows))
+	copy(rows, b.rows[:i])
+	copy(rows[i:], b.rows[i+1:])
+	b.rows, b.shared = rows, false
 }
 
 // change is one undo-log entry.
@@ -220,17 +265,9 @@ func WithoutIndex() Option {
 	return func(d *DB) { d.useIndex = false }
 }
 
-// WithoutDeterministicScan lets Scan visit candidate tuples in snapshot
-// order instead of sorted order. Avoids the per-epoch sort on large scans,
-// but derivation order (and therefore witness traces) becomes
-// nondeterministic.
-func WithoutDeterministicScan() Option {
-	return func(d *DB) { d.detScan = false }
-}
-
 // New returns an empty database.
 func New(opts ...Option) *DB {
-	d := &DB{rels: make(map[relID]*relation), useIndex: true, detScan: true}
+	d := &DB{rels: make(map[relID]*relation), useIndex: true}
 	for _, o := range opts {
 		o(d)
 	}
@@ -239,15 +276,34 @@ func New(opts ...Option) *DB {
 
 // FromFacts returns a database holding the given ground atoms.
 func FromFacts(facts []term.Atom, opts ...Option) (*DB, error) {
-	d := New(opts...)
 	for _, f := range facts {
 		if !f.IsGround() {
 			return nil, fmt.Errorf("db: fact %s is not ground", f)
 		}
-		d.Insert(f.Pred, f.Args)
 	}
+	d := New(opts...)
+	d.load(func() {
+		for _, f := range facts {
+			d.Insert(f.Pred, f.Args)
+		}
+	})
 	d.ResetTrail()
 	return d, nil
+}
+
+// load runs fill, which may insert but should not scan, with bucket inserts
+// appending unsorted, and then sorts every bucket once. A bulk load in
+// arbitrary order (a trie walk, a snapshot file) so costs O(n log n), where
+// keeping a bucket of k rows sorted as it grows moves O(k²) rows.
+func (d *DB) load(fill func()) {
+	d.loading = true
+	fill()
+	d.loading = false
+	for _, r := range d.rels {
+		for _, b := range r.index {
+			sortRows(b.rows)
+		}
+	}
 }
 
 func (d *DB) rel(pred string, arity int, create bool) *relation {
@@ -435,8 +491,7 @@ func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
 	if r.index != nil {
 		c := stored[0].Code()
 		if b := r.index[c]; b != nil {
-			delete(b.rows, key)
-			b.order = nil
+			b.remove(stored)
 			b.fpLo ^= lo
 			b.fpHi ^= hi
 			if len(b.rows) == 0 {
@@ -464,12 +519,15 @@ func (d *DB) addRow(r *relation, key string, stored []term.Term) {
 			if b = r.free; b != nil {
 				r.free = nil
 			} else {
-				b = &ibucket{rows: make(map[string][]term.Term)}
+				b = &ibucket{}
 			}
 			r.index[c] = b
 		}
-		b.rows[key] = stored
-		b.order = nil
+		if d.loading {
+			b.rows = append(b.rows, stored)
+		} else {
+			b.insert(stored)
+		}
 		b.fpLo ^= lo
 		b.fpHi ^= hi
 	}
@@ -604,53 +662,38 @@ func (d *DB) RegionFingerprint(kind ReadKind, pred string, arity int, first uint
 	return [2]uint64{}
 }
 
-// snapshot returns a stable slice of the relation's rows, cached until the
-// next mutation. With wantSorted the slice is in deterministic term order;
-// a cached unsorted snapshot is upgraded (and re-cached) on demand. The
-// returned slice is never mutated in place: mutations replace the cache, so
-// an iteration holding an old snapshot keeps its fixed candidate set.
-func (r *relation) snapshot(wantSorted bool) [][]term.Term {
-	if r.order != nil && (!wantSorted || r.sorted) {
+// snapshot returns the relation's rows in sortRows order, cached until the
+// next mutation. The returned slice is never mutated in place: mutations
+// drop the cache, so an iteration holding an old snapshot keeps its fixed
+// candidate set.
+func (r *relation) snapshot() [][]term.Term {
+	if r.order != nil {
 		return r.order
 	}
 	out := make([][]term.Term, 0, len(r.rows))
 	for _, tr := range r.rows {
 		out = append(out, tr.row)
 	}
-	if wantSorted {
-		sortRows(out)
-	}
-	r.order, r.sorted = out, wantSorted
+	sortRows(out)
+	r.order = out
 	return out
 }
 
-func (b *ibucket) snapshot(wantSorted bool) [][]term.Term {
-	if b.order != nil && (!wantSorted || b.sorted) {
-		return b.order
-	}
-	out := make([][]term.Term, 0, len(b.rows))
-	for _, row := range b.rows {
-		out = append(out, row)
-	}
-	if wantSorted {
-		sortRows(out)
-	}
-	b.order, b.sorted = out, wantSorted
-	return out
-}
-
-// sortRows orders rows by term comparison, argument by argument: the
-// deterministic scan and print order of the package.
-func sortRows(rows [][]term.Term) {
-	sort.Slice(rows, func(i, j int) bool {
-		for k := range rows[i] {
-			if c := rows[i][k].Compare(rows[j][k]); c != 0 {
-				return c < 0
-			}
+// compareRows compares two rows of one relation by term comparison,
+// argument by argument: the deterministic scan and print order of the
+// package.
+func compareRows(a, b []term.Term) int {
+	for k := range a {
+		if c := a[k].Compare(b[k]); c != 0 {
+			return c
 		}
-		return false
-	})
+	}
+	return 0
 }
+
+// sortRows sorts rows into compareRows order. Rows of one relation are
+// distinct, so the order is total and the result deterministic.
+func sortRows(rows [][]term.Term) { slices.SortFunc(rows, compareRows) }
 
 // Scan calls yield for every tuple of pred/arity that unifies with args
 // under env, with the unifying bindings in effect during the call; bindings
@@ -714,25 +757,24 @@ func (d *DB) Scan(pred string, args []term.Term, env *term.Env, yield func() boo
 		return true
 	}
 
-	// Choose candidates: first-arg index bucket when available and
-	// selective, else the whole relation; either way through the cached
-	// snapshot, so the deterministic sort happens once per mutation epoch.
+	// Choose candidates: the first-argument bucket when available and
+	// selective, already in scan order and marked shared so that a
+	// mutation inside yield copies it; else the whole relation through its
+	// cached snapshot, so the sort happens once per mutation epoch.
 	resolved := env.ResolveArgs(args)
 	var candidates [][]term.Term
 	if r.index != nil && !resolved[0].IsVar() {
 		d.cnt.IndexHits++
 		if b := r.index[resolved[0].Code()]; b != nil {
-			if b.order == nil || (d.detScan && !b.sorted) {
-				d.cnt.OrderRebuilds++
-			}
-			candidates = b.snapshot(d.detScan)
+			b.shared = true
+			candidates = b.rows
 		}
 	} else {
 		d.cnt.Scans++
-		if r.order == nil || (d.detScan && !r.sorted) {
+		if r.order == nil {
 			d.cnt.OrderRebuilds++
 		}
-		candidates = r.snapshot(d.detScan)
+		candidates = r.snapshot()
 	}
 	for _, row := range candidates {
 		mark := env.Mark()
@@ -758,7 +800,7 @@ func (d *DB) Tuples(pred string, arity int) [][]term.Term {
 		return nil
 	}
 	// Copy the cached sorted snapshot: callers may reorder the outer slice.
-	return append([][]term.Term(nil), r.snapshot(true)...)
+	return append([][]term.Term(nil), r.snapshot()...)
 }
 
 // Relations returns the pred/arity pairs present (possibly with zero rows),
@@ -786,31 +828,28 @@ func (d *DB) Relations() []struct {
 	return out
 }
 
-// Clone returns a deep copy with an empty undo log. Used by the simulator
-// (each run gets its own state) and by the copy-based forking ablation.
+// Clone returns a copy with an empty undo log. Stored rows are immutable,
+// so the copy shares them, each bucket's row slice copy-on-write (marked
+// shared on both sides) and each relation's cached scan order. Used by the
+// simulator (each run gets its own state) and by the copy-based forking
+// ablation.
 func (d *DB) Clone() *DB {
 	out := New()
 	out.useIndex = d.useIndex
-	out.detScan = d.detScan
 	for k, r := range d.rels {
 		nr := &relation{
 			pred: r.pred, arity: r.arity,
-			rows:   make(map[string]trow, len(r.rows)),
+			rows:   maps.Clone(r.rows),
+			order:  r.order,
 			seedLo: r.seedLo, seedHi: r.seedHi,
 			version: r.version,
 			fpLo:    r.fpLo, fpHi: r.fpHi,
 		}
-		for key, tr := range r.rows {
-			nr.rows[key] = tr // rows are immutable once stored
-		}
 		if r.index != nil {
 			nr.index = make(map[uint64]*ibucket, len(r.index))
 			for c, b := range r.index {
-				nb := &ibucket{rows: make(map[string][]term.Term, len(b.rows)), fpLo: b.fpLo, fpHi: b.fpHi}
-				for key, row := range b.rows {
-					nb.rows[key] = row
-				}
-				nr.index[c] = nb
+				b.shared = true
+				nr.index[c] = &ibucket{rows: b.rows, shared: true, fpLo: b.fpLo, fpHi: b.fpHi}
 			}
 		}
 		out.rels[k] = nr

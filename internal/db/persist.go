@@ -546,7 +546,8 @@ func readSnapshotManifest(path string, opts ...Option) (*DB, Manifest, error) {
 		return nil, Manifest{}, fmt.Errorf("%w: %s: manifest says %d records, file holds %d",
 			ErrCorrupt, path, man.Records, len(recs))
 	}
-	if err := applyRecords(d, recs); err != nil {
+	d.load(func() { err = applyRecords(d, recs) })
+	if err != nil {
 		return nil, Manifest{}, err
 	}
 	d.ResetTrail()

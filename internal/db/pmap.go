@@ -205,7 +205,7 @@ func FreezeDB(d *DB) FrozenDB {
 	out := FrozenDB{rels: make(map[predArity2]*pnode, len(d.rels)), size: d.size, lo: d.hashLo, hi: d.hashHi}
 	for id, r := range d.rels {
 		var root *pnode
-		for _, row := range r.snapshot(true) {
+		for _, row := range r.snapshot() {
 			key := term.KeyOf(row)
 			root, _ = pmSet(root, pmapHash(key), 0, key, row)
 		}
@@ -216,16 +216,21 @@ func FreezeDB(d *DB) FrozenDB {
 	return out
 }
 
-// Thaw materializes a FrozenDB into a fresh mutable DB.
+// Thaw materializes a FrozenDB into a fresh mutable DB with an empty undo
+// log. The frozen rows are immutable, so the DB shares them; it builds only
+// its own storage keys and index.
 func (f FrozenDB) Thaw(opts ...Option) *DB {
 	d := New(opts...)
-	for pa, root := range f.rels {
-		pmRange(root, func(_ string, val []term.Term) bool {
-			d.Insert(pa.pred, val)
-			return true
-		})
-	}
-	d.ResetTrail()
+	d.load(func() {
+		for pa, root := range f.rels {
+			r := d.rel(pa.pred, pa.arity, true)
+			pmRange(root, func(_ string, row []term.Term) bool {
+				d.keyBuf = term.AppendKey(d.keyBuf[:0], row)
+				d.addRow(r, string(d.keyBuf), row)
+				return true
+			})
+		}
+	})
 	return d
 }
 

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -55,6 +56,8 @@ func FuzzParseGoal(f *testing.F) {
 		"X > 3",
 		"true",
 		"(",
+		strings.Repeat("(", maxGoalDepth+1) + "a" + strings.Repeat(")", maxGoalDepth+1),
+		strings.Repeat("iso(", 50) + "p" + strings.Repeat(")", 50),
 	} {
 		f.Add(s)
 	}

@@ -19,7 +19,16 @@ type parser struct {
 	// fresh.
 	vars    map[string]int64
 	nextVar int64
+
+	// depth counts the open '(' and 'iso(' around the current goal.
+	depth int
 }
+
+// maxGoalDepth bounds goal nesting. Each level costs a few frames of Go
+// stack in goal → seqGoal → unary, so without a bound a goal nested some
+// millions of levels deep overflows the stack and kills the process; past
+// the bound the parser returns a positioned *Error instead.
+const maxGoalDepth = 1000
 
 // Parse parses a complete TD program (facts, rules, and ?- directives) and
 // runs ast.Program.Analyze on the result.
@@ -233,6 +242,9 @@ func (p *parser) unary() (ast.Goal, error) {
 	pos := ast.Pos{Line: p.tok.line, Col: p.tok.col}
 	switch p.tok.kind {
 	case tokLParen:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -240,6 +252,7 @@ func (p *parser) unary() (ast.Goal, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return g, p.expect(tokRParen)
 	case tokInsDot, tokDelDot:
 		op := ast.OpIns
@@ -274,6 +287,9 @@ func (p *parser) unary() (ast.Goal, error) {
 				return nil, err
 			}
 			if nx.kind == tokLParen {
+				if err := p.enter(); err != nil {
+					return nil, err
+				}
 				if err := p.advance(); err != nil { // over 'iso'
 					return nil, err
 				}
@@ -284,6 +300,7 @@ func (p *parser) unary() (ast.Goal, error) {
 				if err != nil {
 					return nil, err
 				}
+				p.depth--
 				if err := p.expect(tokRParen); err != nil {
 					return nil, err
 				}
@@ -309,6 +326,16 @@ func (p *parser) unary() (ast.Goal, error) {
 	default:
 		return nil, p.errHere("expected a goal, found %s", p.tok.kind)
 	}
+}
+
+// enter opens one more level of goal nesting at the current token, failing
+// past maxGoalDepth.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxGoalDepth {
+		return p.errHere("goal nested deeper than %d levels", maxGoalDepth)
+	}
+	return nil
 }
 
 // comparison parses `left OP right` where OP was looked up in the lexer.

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -475,5 +476,44 @@ func TestQueriesSurviveRoundTrip(t *testing.T) {
 	}
 	if prog2.String() != printed {
 		t.Fatalf("not stable:\n%s\nvs\n%s", printed, prog2.String())
+	}
+}
+
+// Goal nesting is bounded: a goal nested millions of levels deep, which
+// would overflow the Go stack in the recursive descent, is a positioned
+// error at the first '(' or 'iso' past the bound, and moderate nesting
+// still parses, in goals and in rule bodies alike.
+func TestGoalNestingBounded(t *testing.T) {
+	nested := func(open, close string, n int) string {
+		return strings.Repeat(open, n) + "a" + strings.Repeat(close, n)
+	}
+	for _, tc := range []struct {
+		name        string
+		open, close string
+		n           int
+		wantCol     int // 0: parses
+	}{
+		{"parens 100", "(", ")", 100, 0},
+		{"iso 100", "iso(", ")", 100, 0},
+		{"parens at the bound", "(", ")", maxGoalDepth, 0},
+		{"parens 4M", "(", ")", 4 << 20, maxGoalDepth + 1},
+		{"iso past the bound", "iso(", ")", maxGoalDepth + 1, 4*maxGoalDepth + 1},
+	} {
+		src := nested(tc.open, tc.close, tc.n)
+		_, _, err := ParseGoal(src, 0)
+		_, perr := Parse("r :- " + src + ".")
+		if tc.wantCol == 0 {
+			if err != nil || perr != nil {
+				t.Errorf("%s: ParseGoal: %v; Parse: %v", tc.name, err, perr)
+			}
+			continue
+		}
+		var pe *Error
+		if !errors.As(err, &pe) || pe.Line != 1 || pe.Col != tc.wantCol || !strings.Contains(pe.Msg, "nested deeper") {
+			t.Errorf("%s: ParseGoal error = %v, want 1:%d: goal nested deeper …", tc.name, err, tc.wantCol)
+		}
+		if !errors.As(perr, &pe) || pe.Col != tc.wantCol+len("r :- ") {
+			t.Errorf("%s: Parse error = %v, want column %d", tc.name, perr, tc.wantCol+len("r :- "))
+		}
 	}
 }

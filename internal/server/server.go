@@ -192,14 +192,14 @@ type Server struct {
 	reg   *obs.Registry
 	sem   chan struct{}
 
-	// commitMu is the one commit lock. It guards the live store (head), the
-	// commit log with its live window and floor, the frozen view and the
-	// history window, and every write of version; holding it is what makes a
-	// commit's re-validation, LSN, WAL append and apply one atomic step. It
-	// covers no O(history) validation scan and no fsync. Lock ordering: the
-	// registry lock (mu) nests strictly inside commitMu, never around it.
+	// commitMu is the one commit lock. It guards the commit log with its
+	// live window and floor, the frozen view and the history window, and
+	// every write of version; holding it is what makes a commit's
+	// re-validation, LSN, WAL append and apply one atomic step. It covers no
+	// O(history) validation scan, no fsync and no replica rebuild. Lock
+	// ordering: the registry lock (mu) nests strictly inside commitMu, never
+	// around it.
 	commitMu sync.Mutex
-	head     *db.DB // the authoritative tuples
 
 	// The commit log is an append-only slice plus a live-window offset:
 	// clog[clogLo:] holds, in order, exactly the records of versions
@@ -212,6 +212,9 @@ type Server struct {
 	clogLo int
 	floor  uint64
 
+	// frozen is the authoritative tuples at version: the one copy of the
+	// database the server keeps besides the session replicas, which are
+	// thawed from it.
 	frozen db.FrozenDB
 	hist   *history.Window // retained versions for ASOF/CHANGES
 	// version is the LSN of the newest commit. LSNs are contiguous, which
@@ -373,6 +376,7 @@ func New(opts Options) (*Server, error) {
 	s.reg.CounterFuncL("td_engine_pool_derivations_total",
 		"derivation-state acquisitions by live sessions, by pool outcome",
 		`outcome="alloc"`, func() int64 { return poolStats(false) })
+	var initial *db.DB // the boot-time tuples, until frozen
 	if opts.SnapshotPath != "" || opts.WALPath != "" {
 		if opts.SnapshotPath == "" || opts.WALPath == "" {
 			return nil, errors.New("server: need both SnapshotPath and WALPath for durability")
@@ -382,14 +386,16 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.store = store
-		s.head = store.DB
+		initial = store.DB
 	} else {
-		s.head = db.New()
+		initial = db.New()
 	}
-	if err := s.installFacts(prog.Facts); err != nil {
+	if err := s.installFacts(initial, prog.Facts); err != nil {
 		return nil, err
 	}
-	s.frozen = db.FreezeDB(s.head)
+	// The frozen view is the server's one copy of the tuples; the DB that
+	// built it is dropped (the store detaches it below).
+	s.frozen = db.FreezeDB(initial)
 	if s.store != nil {
 		// Commit versions are persistent: the version counter resumes from
 		// the recovered LSN so that version N names the same commit across
@@ -418,17 +424,18 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// installFacts seeds the initial program's facts — but only into an EMPTY
-// database. A recovered database already reflects every committed
-// transaction; re-inserting seed facts that later transactions deleted
-// would resurrect stale tuples. Runs at boot, before any session exists.
-func (s *Server) installFacts(facts []term.Atom) error {
+// installFacts seeds the initial program's facts into d, the boot-time
+// database — but only when it is EMPTY. A recovered database already
+// reflects every committed transaction; re-inserting seed facts that later
+// transactions deleted would resurrect stale tuples. Runs at boot, before
+// any session exists.
+func (s *Server) installFacts(d *db.DB, facts []term.Atom) error {
 	for _, f := range facts {
 		if !f.IsGround() {
 			return fmt.Errorf("server: initial fact %s is not ground", f)
 		}
 	}
-	if s.head.Size() > 0 || len(facts) == 0 {
+	if d.Size() > 0 || len(facts) == 0 {
 		return nil
 	}
 	ops := make([]db.Op, len(facts))
@@ -444,8 +451,8 @@ func (s *Server) installFacts(facts []term.Atom) error {
 		}
 		return s.store.Commit()
 	}
-	s.head.Apply(ops)
-	s.head.ResetTrail()
+	d.Apply(ops)
+	d.ResetTrail()
 	return nil
 }
 
@@ -529,8 +536,8 @@ func (s *Server) InProcClient() *Client {
 	return NewClient(c1)
 }
 
-// newSession registers a session with a private replica cloned from the
-// current head.
+// newSession registers a session with a private replica thawed from the
+// current frozen view.
 func (s *Server) newSession(conn net.Conn) *session {
 	sess := &session{
 		srv:       s,
@@ -645,18 +652,22 @@ func (s *Server) suffixLocked(after uint64) []commitRecord {
 	return s.clog[lo:len(s.clog):len(s.clog)]
 }
 
-// rebuildReplica replaces the session's replica with a clone of the head.
+// rebuildReplica replaces the session's replica with a thaw of the frozen
+// view. Only reading the view and its version takes the commit lock: the
+// view is immutable, so the thaw runs outside it, and it shares the view's
+// rows.
 func (s *Server) rebuildReplica(sess *session) {
 	s.commitMu.Lock()
-	sess.d = s.head.Clone()
-	sess.version.Store(s.version.Load())
+	frozen, ver := s.frozen, s.version.Load()
 	s.commitMu.Unlock()
+	sess.d = frozen.Thaw()
+	sess.version.Store(ver)
 }
 
-// syncSession brings a session's replica up to the current head version by
+// syncSession brings a session's replica up to the current version by
 // applying the commit-log suffix it has not seen; a replica already at the
-// head costs two atomic loads. A replica the log no longer reaches back to
-// (MaxLog stranding) is rebuilt from the head.
+// current version costs two atomic loads. A replica the log no longer
+// reaches back to (MaxLog stranding) is rebuilt from the frozen view.
 func (s *Server) syncSession(sess *session) {
 	from := sess.version.Load()
 	if s.version.Load() == from {
@@ -680,7 +691,7 @@ func (s *Server) syncSession(sess *session) {
 
 // commit validates a transaction's read set against everything that
 // committed after the session's replica version and, on success, applies the
-// write set to the head, appends it to the WAL, and waits for the
+// write set to the frozen view, appends it to the WAL, and waits for the
 // group-commit flusher to make it durable before returning (unless NoSync).
 // On conflict it returns errConflict without touching shared state; the
 // session must roll its replica back and resync.
@@ -692,8 +703,8 @@ func (s *Server) syncSession(sess *session) {
 //     with the lock RELEASED, concurrent with other committers.
 //  2. The lock is retaken only to re-validate the records that committed
 //     during stage 1 (usually none), claim the next LSN, append the WAL
-//     block (buffered, not synced), apply the ops to the head, advance the
-//     frozen view and the history window, and publish the commit record.
+//     block (buffered, not synced), advance the frozen view and the history
+//     window, and publish the commit record.
 //  3. The committer waits, lock-free, for the flusher goroutine to cover
 //     its LSN with a batched WAL fsync (WAL-before-ack per batch: the
 //     sync that acknowledges a commit always covers its records).
@@ -704,7 +715,7 @@ func (s *Server) syncSession(sess *session) {
 //
 // ops is the transaction's net write set (db.DeltaSince), never empty. The
 // session's replica must already contain exactly ops on top of its version;
-// on success it is caught up to the new head in place.
+// on success it is caught up to the new version in place.
 func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error) {
 	started := time.Now()
 	clk := sess.clk // nil unless this transaction is stage-sampled
@@ -771,7 +782,7 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 		// The WAL block carries the commit's LSN, so recovery and the
 		// checkpointer can name durable prefixes by commit version. It is
 		// appended before anything in memory moves, so a failed append
-		// leaves the head, the log and the version untouched.
+		// leaves the frozen view, the log and the version untouched.
 		if _, err := s.store.ApplyCommit(ops, lsn); err != nil {
 			s.commitMu.Unlock()
 			return 0, err
@@ -786,11 +797,6 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	if clk != nil {
 		clk.mark(stageWALAppend)
 	}
-	// Every op takes effect: the write set is a net effect, each of its
-	// tuples was observed by the read set, and validation just showed no
-	// winner changed the membership of any.
-	s.head.Apply(ops)
-	s.head.ResetTrail()
 	rec.version = lsn
 	s.clog = append(s.clog, rec)
 	s.version.Store(lsn)
@@ -801,7 +807,7 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	// The committer's replica holds (its old version + ops); fold in the
 	// concurrent but non-overlapping writes it validated against — view
 	// covers (from, snap], delta covers (snap, lsn) — making it equal to the
-	// new head. sess.d is session-private, so this runs outside the lock;
+	// new frozen view. sess.d is session-private, so this runs outside the lock;
 	// the record slices stay valid even if pruning compacts the log
 	// meanwhile, because compaction copies into a fresh array and the
 	// records themselves are immutable.
@@ -813,7 +819,7 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	}
 	sess.d.ResetTrail()
 	if clk != nil {
-		clk.mark(stageApply) // head apply, publish and replica fold-in
+		clk.mark(stageApply) // publish and replica fold-in
 	}
 
 	// Stage 3: wait for a batched WAL sync to cover the LSN.

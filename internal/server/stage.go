@@ -17,13 +17,14 @@ package server
 import "time"
 
 // Pipeline stages. A committing EXEC passes through them in this order,
-// except that it appends its WAL block before it applies to the head.
+// except that it appends its WAL block and advances the frozen view before
+// it publishes its record and folds concurrent commits into its replica.
 const (
 	stageParse     = iota // goal text -> AST
 	stageProve            // proof search over the session replica
 	stageValidate         // OCC backward validation (lock-free scans + delta re-checks)
 	stageLockWait         // waiting for the commit lock
-	stageApply            // applying the write set to the head and the replica
+	stageApply            // publishing the commit record, folding concurrent commits into the replica
 	stageWALAppend        // LSN claim, WAL block append, frozen view and history window
 	stageFsyncWait        // parked on the group-commit flusher's covering fsync
 	stageAck              // response serialization and the socket write

@@ -111,7 +111,7 @@ func (st *serverStats) init(reg *obs.Registry) {
 	cf("td_db_lookups_total", "ground point lookups across session replicas", &st.dbLookups)
 	cf("td_db_index_hits_total", "scans served by the first-argument index", &st.dbIndexHits)
 	cf("td_db_scans_total", "full relation scans", &st.dbScans)
-	cf("td_db_order_rebuilds_total", "deterministic scan-order cache rebuilds", &st.dbRebuilds)
+	cf("td_db_order_rebuilds_total", "relation scan-order rebuilds by full scans, once per mutation epoch", &st.dbRebuilds)
 	cf("td_delta_ops_total", "tuples written by committed transactions", &st.deltaOps)
 	cf("td_plan_reorders_total", "rule-body reorders installed into session engines by the tdplan planner", &st.planReorders)
 	cf("td_plan_hits_total", "call steps served by a plan-reordered rule variant", &st.planHits)
